@@ -213,28 +213,30 @@ def zeros(dim: int, field: ScalarField = ScalarField.REAL) -> MatrixElement:
     return MatrixElement(np.zeros((dim, dim), dtype=field.dtype), field)
 
 
-def _require_compatible(a: MatrixElement, b: MatrixElement) -> None:
+def _check_pair(a: MatrixElement, b: MatrixElement) -> tuple[np.ndarray, np.ndarray]:
+    """Reject operands of different fields or dimensions; return both entry arrays."""
     if a.field is not b.field:
         raise FieldMismatchError(
             f"mixed-field arithmetic is rejected: {a.field.value} vs {b.field.value}"
         )
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return a.entries, b.entries
 
 
 def mat_mul(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Standard matrix product ``a @ b``."""
-    _require_compatible(a, b)
+    _check_pair(a, b)
     return MatrixElement(a.entries @ b.entries, a.field)
 
 
 def mat_add(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    _require_compatible(a, b)
+    _check_pair(a, b)
     return MatrixElement(a.entries + b.entries, a.field)
 
 
 def mat_sub(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    _require_compatible(a, b)
+    _check_pair(a, b)
     return MatrixElement(a.entries - b.entries, a.field)
 
 
@@ -262,13 +264,13 @@ def algebra_norm(a: MatrixElement, kind: str = "fro") -> float:
 
 def apply_left(t: MatrixElement, h: MatrixElement) -> MatrixElement:
     """L(T) applied to h: returns ``h @ T`` (T multiplies on the right)."""
-    _require_compatible(t, h)
+    _check_pair(t, h)
     return MatrixElement(h.entries @ t.entries, t.field)
 
 
 def apply_right(t: MatrixElement, h: MatrixElement) -> MatrixElement:
     """R(T) applied to h: returns ``T @ h`` (T multiplies on the left)."""
-    _require_compatible(t, h)
+    _check_pair(t, h)
     return MatrixElement(t.entries @ h.entries, t.field)
 
 
@@ -278,7 +280,7 @@ def apply_commutant(t: MatrixElement, h: MatrixElement) -> MatrixElement:
     With the bracket ``[A, B] = A B - B A`` this is ``[h, T]``, i.e.
     ``C(T) = L(T) - R(T)``.
     """
-    _require_compatible(t, h)
+    _check_pair(t, h)
     return MatrixElement(h.entries @ t.entries - t.entries @ h.entries, t.field)
 
 
@@ -291,7 +293,7 @@ def apply_commutant_power(t: MatrixElement, h: MatrixElement, p: int) -> MatrixE
     """
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise AlgebraError(f"power must be a nonnegative integer, got {p!r}")
-    _require_compatible(t, h)
+    _check_pair(t, h)
     ta = t.entries
     acc = h.entries
     for _ in range(p):

@@ -21,15 +21,13 @@ from pathlib import Path
 
 from .algebra import AlgebraError, MatrixElement, ScalarField
 from .frechet import (
+    _ALGORITHMS,
     Algorithm,
     CompareReport,
     CurveDomainError,
     DifferentialResult,
     frechet_compare,
     frechet_derivative_series,
-    frechet_commutant,
-    frechet_direct,
-    frechet_power_commutant,
     integral_identity_check,
     polynomial_curve,
 )
@@ -50,12 +48,7 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
 
-_ALGO_FNS = {
-    "direct": frechet_direct,
-    "commutant": frechet_commutant,
-    "power-commutant": frechet_power_commutant,
-    "derivative-series": frechet_derivative_series,
-}
+_ALGORITHM_NAMES = sorted(a.value for a in Algorithm)
 
 
 class _RequestError(Exception):
@@ -275,13 +268,13 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
             report["results"] = results
             report["skipped"] = skipped
             return _check_caps(report, results)
-        if algo not in _ALGO_FNS:
+        if algo not in _ALGORITHM_NAMES:
             raise _RequestError(
                 "invalid_input",
                 f"unknown algorithm {algo!r}; choose from "
-                f"{sorted(_ALGO_FNS)} or 'all'",
+                f"{_ALGORITHM_NAMES} or 'all'",
             )
-        res = _ALGO_FNS[algo](series, t, h, policy)
+        res = _ALGORITHMS[Algorithm(algo)](series, t, h, policy)
         entry = _differential_entry(res)
         report["results"] = [entry]
         return _check_caps(report, [entry])
@@ -389,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--matrix-T", required=True, help="matrix JSON file for T")
     p_diff.add_argument("--matrix-h", required=True, help="matrix JSON file for h")
     p_diff.add_argument("--algorithm", default="direct",
-                        choices=sorted(_ALGO_FNS) + ["all"])
+                        choices=_ALGORITHM_NAMES + ["all"])
 
     p_cmp = sub.add_parser("compare", help="run all four algorithms and cross-compare")
     common(p_cmp)

@@ -13,13 +13,19 @@ another:
 
 ``commutant``
     ``h g'(T) - sum_{p>=0} T^p (hT - Th) G_p(T)`` with
-    ``G_p(T) = sum_{m>=0} (m+1) a_(m+p+2) T^m``.  The outer p-sum is
-    truncated with the second-order majorant ``sum n (n-1) |a_n| s^(n-1)``
-    and each inner series with its own value bound.
+    ``G_p(T) = sum_{m>=0} (m+1) a_(m+p+2) T^m``.
 
 ``power-commutant``
     ``h g'(T) - sum_{k>=2} (h T^(k-1) - T^(k-1) h) B_k(T)`` with
-    ``B_k(T) = sum_{m>=0} a_(m+k) T^m``; truncation as above.
+    ``B_k(T) = sum_{m>=0} a_(m+k) T^m``.
+
+    Both commutant forms cut their double sums jointly at total degree
+    ``n <= N``, so the partial sum is ``sum_{n<=N} a_n u_n(T, h)`` and the
+    first-derivative majorant of ``direct`` (same N, same tail bound)
+    bounds everything discarded.  They are evaluated by one backward pass
+    over ``k = N..1`` with the inner-series recurrences
+    ``B_k = a_k I + T B_(k+1)`` and ``G_(k-2) = B_k + T G_(k-1)``, ending at
+    ``G_(-1) = g'(T)``; the outer sums fold by Horner in the same pass.
 
 ``derivative-series``
     ``sum_{p>=1} (1/p!) g^(p)(T) C(T)^(p-1)(h)`` where ``g^(p)`` is the
@@ -55,6 +61,7 @@ from .algebra import (
     FieldMismatchError,
     MatrixElement,
     ScalarField,
+    _check_pair,
     algebra_norm,
 )
 from .series import (
@@ -64,10 +71,7 @@ from .series import (
     OutsideDerivativeBallError,
     OutsideRadiusError,
     PowerSeries,
-    SeriesError,
     TruncationPolicy,
-    _detail_from_terms,
-    _SCAN_MARGIN,
     _truncation_detail,
     derivative_series,
     eval_matrix,
@@ -140,16 +144,6 @@ class CompareReport:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-def _check_pair(t: MatrixElement, h: MatrixElement) -> tuple[np.ndarray, np.ndarray]:
-    if t.field is not h.field:
-        raise FieldMismatchError(
-            f"mixed-field arithmetic is rejected: {t.field.value} vs {h.field.value}"
-        )
-    if t.dim != h.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {t.dim} vs {h.dim}")
-    return t.entries, h.entries
-
 
 def _out_field(g: PowerSeries, t: MatrixElement) -> ScalarField:
     if t.field is ScalarField.COMPLEX or g.complex_coefficients:
@@ -244,32 +238,6 @@ def monomial_differential_forms(
 
 
 # ---------------------------------------------------------------------------
-# Inner-series helpers (shifted coefficient sums evaluated at T)
-# ---------------------------------------------------------------------------
-
-def _shift_detail(g: PowerSeries, shift: int, weighted: bool, s: float,
-                  tolerance: float, max_terms: int) -> tuple[int, float, bool]:
-    """Truncation detail for ``sum_m w_m a_(m+shift) s^m`` with w_m = m+1 or 1."""
-    cap = g.coeff_cap - shift
-    if cap < 0:
-        raise SeriesError(f"coefficient cap {g.coeff_cap} too small for shift {shift}")
-    limit = min(max_terms, cap)
-    if weighted:
-        term = lambda m: (m + 1) * abs(g.coefficient(m + shift)) * s**m
-    else:
-        term = lambda m: abs(g.coefficient(m + shift)) * s**m
-    return _detail_from_terms(term, tolerance, limit, min(limit + _SCAN_MARGIN, cap))
-
-
-def _shift_vector(g: PowerSeries, shift: int, weighted: bool, count: int) -> np.ndarray:
-    dtype = np.complex128 if g.complex_coefficients else np.float64
-    vec = np.array([g.coefficient(m + shift) for m in range(count)], dtype=dtype)
-    if weighted:
-        vec = vec * (np.arange(count, dtype=np.float64) + 1.0)
-    return vec
-
-
-# ---------------------------------------------------------------------------
 # The four differential algorithms
 # ---------------------------------------------------------------------------
 
@@ -298,91 +266,78 @@ def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
             u = ta @ u + ha @ tpow
             acc = acc + g.coefficient(n) * u
     diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           within_radius=True, cap_hit=cap_hit)
+                           cap_hit=cap_hit)
     return DifferentialResult(MatrixElement(acc, field), Algorithm.DIRECT, diag)
+
+
+def _commutant_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
+                     policy: TruncationPolicy):
+    """Operands in the output dtype, N, and the diagnostics of both commutant forms."""
+    ta, ha = _check_pair(t, h)
+    s = algebra_norm(t)
+    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
+                                               BoundKind.FIRST_DERIVATIVE)
+    field = _out_field(g, t)
+    diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
+                           cap_hit=cap_hit, inner_terms_used=max(n_stop - 1, 0))
+    return (ta.astype(field.dtype, copy=False), ha.astype(field.dtype, copy=False),
+            field, n_stop, diag)
 
 
 def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> DifferentialResult:
     """Differential in the single-commutant form.
 
-    ``g'(T)(h) = h g'(T) - sum_{p=0..P} T^p (hT - Th) G_p(T)`` with
-    ``G_p(T) = sum_m (m+1) a_(m+p+2) T^m``.  The outer sum is cut at
-    ``P = N - 2`` where N satisfies the second-order majorant
-    ``sum_{n>N} n (n-1) |a_n| s^(n-1) < tol``; each ``G_p`` is cut by the
-    value bound of its own coefficient sequence.  When ``[T, h] = 0`` the
-    subtrahend vanishes and only ``h g'(T)`` remains.
+    ``g'(T)(h) = h g'(T) - sum_{p>=0} T^p (hT - Th) G_p(T)`` with
+    ``G_p(T) = sum_m (m+1) a_(m+p+2) T^m``.  The double sum is cut jointly
+    at total degree ``n <= N``, N from the first-derivative majorant as in
+    :func:`frechet_direct`, so the partial sum is ``sum_{n<=N} a_n u_n(T, h)``
+    and that majorant bounds everything discarded.  One backward pass over
+    ``k = N..1`` builds ``B_k = a_k I + T B_(k+1)``,
+    ``G_(k-2) = B_k + T G_(k-1)`` and ``S = C G_(k-2) + T S`` with
+    ``C = hT - Th`` (four products per term); it ends at
+    ``G_(-1) = g'(T)`` and returns ``h g'(T) - S``.  When ``[T, h] = 0``
+    the subtrahend vanishes and only ``h g'(T)`` remains.
     """
-    ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    n_so, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                             BoundKind.SECOND_ORDER)
-    field = _out_field(g, t)
-    ta = ta.astype(field.dtype, copy=False)
-    ha = ha.astype(field.dtype, copy=False)
-
-    m_d, _tail_d, cap_d = _shift_detail(g, 1, True, s, policy.tolerance, policy.max_terms)
-    p_stop = n_so - 2
-    inner: list[tuple[int, bool]] = []
-    for p in range(0, p_stop + 1):
-        m_p, _tp, cap_p = _shift_detail(g, p + 2, True, s, policy.tolerance, policy.max_terms)
-        inner.append((m_p, cap_p))
-    max_pow = max([m_d, p_stop] + [m for m, _ in inner]) if inner else m_d
-    stack = np.stack(_powers(ta, max(max_pow, 0)))
-
-    gprime = np.tensordot(_shift_vector(g, 1, True, m_d + 1), stack[: m_d + 1], axes=1)
-    acc = ha @ gprime
-    inner_caps = cap_d
-    if p_stop >= 0:
-        bracket = ha @ ta - ta @ ha
-        for p, (m_p, cap_p) in enumerate(inner):
-            g_p = np.tensordot(_shift_vector(g, p + 2, True, m_p + 1), stack[: m_p + 1], axes=1)
-            acc = acc - stack[p] @ bracket @ g_p
-            inner_caps = inner_caps or cap_p
-    inner_used = max([m_d] + [m for m, _ in inner]) if inner else m_d
-    diag = EvalDiagnostics(terms_used=n_so, tail_bound=tail, ball_radius_used=s,
-                           within_radius=True, cap_hit=cap_hit or inner_caps,
-                           inner_terms_used=inner_used)
-    return DifferentialResult(MatrixElement(acc, field), Algorithm.COMMUTANT_FORM, diag)
+    ta, ha, field, n_stop, diag = _commutant_setup(g, t, h, policy)
+    eye = np.eye(ta.shape[0], dtype=ta.dtype)
+    bracket = ha @ ta - ta @ ha
+    b = gk = acc = np.zeros_like(ta)  # B_(k+1), G_(k-1), S
+    for k in range(n_stop, 0, -1):
+        b = g.coefficient(k) * eye + ta @ b
+        gk = b + ta @ gk
+        if k >= 2:
+            acc = bracket @ gk + ta @ acc
+    return DifferentialResult(MatrixElement(ha @ gk - acc, field),
+                              Algorithm.COMMUTANT_FORM, diag)
 
 
 def frechet_power_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> DifferentialResult:
     """Differential in the matrix-power commutant form.
 
-    ``g'(T)(h) = h g'(T) - sum_{k=2..K} (h T^(k-1) - T^(k-1) h) B_k(T)``
-    with ``B_k(T) = sum_m a_(m+k) T^m``.  K is the second-order majorant
-    index; each ``B_k`` is cut by its own value bound.
+    ``g'(T)(h) = h g'(T) - sum_{k>=2} (h T^(k-1) - T^(k-1) h) B_k(T)``
+    with ``B_k(T) = sum_m a_(m+k) T^m``, truncated jointly at total degree
+    ``n <= N`` exactly like :func:`frechet_commutant`.  The bracket is kept
+    literal, ``h (sum T^(k-1) B_k) - sum T^(k-1) h B_k``, with both sums
+    folded by Horner in the same backward pass over ``k = N..1``:
+    ``sum_{k>=2} T^(k-1) B_k = T G_0`` comes from the ``G`` recurrence and
+    ``Q = h B_k + T Q`` gives the second sum as ``T Q`` (four products per
+    term).
     """
-    ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    n_so, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                             BoundKind.SECOND_ORDER)
-    field = _out_field(g, t)
-    ta = ta.astype(field.dtype, copy=False)
-    ha = ha.astype(field.dtype, copy=False)
-
-    m_d, _tail_d, cap_d = _shift_detail(g, 1, True, s, policy.tolerance, policy.max_terms)
-    k_stop = n_so
-    inner: list[tuple[int, bool]] = []
-    for k in range(2, k_stop + 1):
-        m_k, _tk, cap_k = _shift_detail(g, k, False, s, policy.tolerance, policy.max_terms)
-        inner.append((m_k, cap_k))
-    max_pow = max([m_d, k_stop - 1] + [m for m, _ in inner]) if inner else m_d
-    stack = np.stack(_powers(ta, max(max_pow, 0)))
-
-    gprime = np.tensordot(_shift_vector(g, 1, True, m_d + 1), stack[: m_d + 1], axes=1)
-    acc = ha @ gprime
-    inner_caps = cap_d
-    for k, (m_k, cap_k) in zip(range(2, k_stop + 1), inner):
-        b_k = np.tensordot(_shift_vector(g, k, False, m_k + 1), stack[: m_k + 1], axes=1)
-        acc = acc - (ha @ stack[k - 1] - stack[k - 1] @ ha) @ b_k
-        inner_caps = inner_caps or cap_k
-    inner_used = max([m_d] + [m for m, _ in inner]) if inner else m_d
-    diag = EvalDiagnostics(terms_used=n_so, tail_bound=tail, ball_radius_used=s,
-                           within_radius=True, cap_hit=cap_hit or inner_caps,
-                           inner_terms_used=inner_used)
-    return DifferentialResult(MatrixElement(acc, field), Algorithm.POWER_COMMUTANT_FORM, diag)
+    ta, ha, field, n_stop, diag = _commutant_setup(g, t, h, policy)
+    eye = np.eye(ta.shape[0], dtype=ta.dtype)
+    b = gk = tg = q = np.zeros_like(ta)  # B_(k+1), G_(k-1), T G_(k-1), Q
+    for k in range(n_stop, 0, -1):
+        b = g.coefficient(k) * eye + ta @ b
+        tg = ta @ gk
+        gk = b + tg
+        if k >= 2:
+            q = ha @ b + ta @ q
+    # after k = 1: gk = G_(-1) = g'(T) and tg = T G_0 = sum_{k>=2} T^(k-1) B_k
+    value = ha @ gk - (ha @ tg - ta @ q)
+    return DifferentialResult(MatrixElement(value, field),
+                              Algorithm.POWER_COMMUTANT_FORM, diag)
 
 
 def _binom_scale(p: int, s: float, count: int) -> np.ndarray:
@@ -424,8 +379,7 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
     ha = ha.astype(field.dtype, copy=False)
 
     diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           within_radius=True, cap_hit=cap_hit,
-                           inner_terms_used=max(n_stop - 1, 0))
+                           cap_hit=cap_hit, inner_terms_used=max(n_stop - 1, 0))
     if n_stop == 0:
         return DifferentialResult(MatrixElement(np.zeros_like(ta), field),
                                   Algorithm.DERIVATIVE_SERIES_FORM, diag)

@@ -18,13 +18,7 @@ import enum
 
 import numpy as np
 
-from .algebra import (
-    DimensionMismatchError,
-    FieldMismatchError,
-    MatrixElement,
-    ScalarField,
-    algebra_norm,
-)
+from .algebra import MatrixElement, ScalarField, _check_pair, algebra_norm
 from .frechet import monomial_differential
 from .series import (
     DEFAULT_POLICY,
@@ -58,15 +52,6 @@ class OracleKind(enum.Enum):
     BLOCK_TRIANGULAR = "block-triangular"
     RESOLVENT_CLOSED_FORM = "resolvent-closed-form"
     POLYNOMIAL_EXPANSION = "polynomial-expansion"
-
-
-def _check_pair(t: MatrixElement, h: MatrixElement) -> None:
-    if t.field is not h.field:
-        raise FieldMismatchError(
-            f"mixed-field arithmetic is rejected: {t.field.value} vs {h.field.value}"
-        )
-    if t.dim != h.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {t.dim} vs {h.dim}")
 
 
 def fd_differential(g: PowerSeries, t: MatrixElement, h: MatrixElement,

@@ -16,9 +16,11 @@ below the requested tolerance.  Four majorants are supported
 
 The first bounds the value tail, the second the tail of the differential
 expansion ``sum n a_n ...`` (via ``norm`` of the monomial differential
-``<= n s^(n-1)``), the third the rearranged double-sum expansions, and the
-fourth the nested-commutant derivative expansion, which only converges
-inside the smaller ball ``norm(T) < R/3``.
+``<= n s^(n-1)``; the commutant forms cut their double sums at total
+degree N, so it bounds them too), the third is a coarser majorant that no
+algorithm in the package selects, and the fourth bounds the
+nested-commutant derivative expansion, which only converges inside the
+smaller ball ``norm(T) < R/3``.
 
 Tails are summed numerically: terms are accumulated until they drop below
 ``tolerance * 1e-3`` and a geometric remainder estimate (last term times
@@ -115,14 +117,17 @@ class EvalDiagnostics:
     ``terms_used`` is the highest series index included in the partial sum,
     ``tail_bound`` the analytic majorant of everything discarded (infinite
     when the term cap was hit before the tolerance was met), and
-    ``inner_terms_used`` the largest truncation index of any inner series
-    when the computation nests one sum inside another.
+    ``inner_terms_used`` the largest power of ``T`` in any inner series
+    when the computation nests one sum inside another.  The differential
+    forms cut their double sums jointly at total degree ``terms_used``,
+    so it is ``max(terms_used - 1, 0)`` there (the inner series
+    ``g'(T)`` of the commutant forms, the ``g^(p)(T)`` of the
+    derivative-series form).
     """
 
     terms_used: int
     tail_bound: float
     ball_radius_used: float
-    within_radius: bool
     cap_hit: bool = False
     inner_terms_used: int | None = None
 
@@ -131,7 +136,6 @@ class EvalDiagnostics:
             "terms_used": int(self.terms_used),
             "tail_bound": float(self.tail_bound),
             "ball_radius_used": float(self.ball_radius_used),
-            "within_radius": bool(self.within_radius),
             "cap_hit": bool(self.cap_hit),
             "inner_terms_used": None if self.inner_terms_used is None else int(self.inner_terms_used),
         }
@@ -544,7 +548,6 @@ def eval_matrix(g: PowerSeries, t: MatrixElement,
         terms_used=n_stop,
         tail_bound=tail,
         ball_radius_used=s,
-        within_radius=True,
         cap_hit=cap_hit,
     )
     return MatrixElement(arr, out_field), diag

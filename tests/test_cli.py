@@ -50,7 +50,9 @@ class TestExitCodes:
         assert code == 0
         rep = json.loads(out)
         assert rep["command"] == "eval"
-        assert rep["results"][0]["diagnostics"]["within_radius"] is True
+        diag = rep["results"][0]["diagnostics"]
+        assert diag["cap_hit"] is False
+        assert diag["tail_bound"] <= 1e-12
 
     def test_outside_radius_is_validation_error(self):
         code, out = run_cli(["eval", "--series", data("geometric_series.json"),

@@ -12,8 +12,10 @@ from matseries import (
     OutsideDerivativeBallError,
     OutsideRadiusError,
     ScalarField,
+    BUILTIN_NAMES,
     TruncationPolicy,
     algebra_norm,
+    block_triangular_differential,
     builtin_series,
     curve_derivative,
     derivative_series,
@@ -31,6 +33,7 @@ from matseries import (
     monomial_differential,
     monomial_differential_forms,
     polynomial_curve,
+    polynomial_differential,
     relative_difference,
     zeros,
 )
@@ -38,6 +41,7 @@ from helpers import random_matrix, rel_err
 
 ALL_ALGORITHMS = (frechet_direct, frechet_commutant,
                   frechet_power_commutant, frechet_derivative_series)
+COMMUTANT_FORMS = (frechet_commutant, frechet_power_commutant)
 IDENTITY_SERIES = from_coefficients([0.0, 1.0], radius=math.inf)
 SQUARE_SERIES = from_coefficients([0.0, 0.0, 1.0], radius=math.inf)
 CUBE_SERIES = from_coefficients([0.0, 0.0, 0.0, 1.0], radius=math.inf)
@@ -144,7 +148,7 @@ class TestFrechetDirect:
         t = random_matrix(rng, 3, norm=0.4)
         h = random_matrix(rng, 3)
         res = frechet_direct(builtin_series("exp"), t, h)
-        assert res.diagnostics.within_radius
+        assert not res.diagnostics.cap_hit
         assert res.diagnostics.tail_bound <= 1e-12
         assert res.diagnostics.terms_used > 2
 
@@ -229,6 +233,93 @@ class TestAlternativeAlgorithms:
         for fn in ALL_ALGORITHMS:
             np.testing.assert_allclose(fn(g, zeros(2), h).value.entries, h.entries,
                                        rtol=0, atol=1e-15)
+
+
+class TestCommutantJointTruncation:
+    """The commutant forms cut at total degree N, with direct's N and tail bound."""
+
+    @pytest.mark.parametrize("name, fn", [("sin", frechet_commutant),
+                                          ("exp", frechet_power_commutant)])
+    def test_tail_bound_holds_far_out_on_entire_series(self, name, fn):
+        # symmetric T at s = 3.6: cutting each inner series on its own, without
+        # its outer factor, missed the oracle by 60-140 times the tolerance here
+        sym = np.array([[1.0, 0.5], [0.5, -0.3]])
+        t = matrix(sym * (3.6 / np.linalg.norm(sym)))
+        h = matrix([[0.3, -0.7], [0.5, 0.2]])
+        g = builtin_series(name)
+        res = fn(g, t, h)
+        ref = block_triangular_differential(g, t, h).entries
+        assert not res.diagnostics.cap_hit
+        assert np.linalg.norm(res.value.entries - ref) \
+            <= 1e-8 * np.linalg.norm(ref) + res.diagnostics.tail_bound
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_same_truncation_as_direct(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        g = builtin_series(name)
+        scale = g.radius if math.isfinite(g.radius) else 4.0
+        for frac in (0.1, 0.5, 0.9):
+            for field in ScalarField:
+                t = random_matrix(rng, 4, field, norm=frac * scale)
+                h = random_matrix(rng, 4, field)
+                want = frechet_direct(g, t, h)
+                n_stop = want.diagnostics.terms_used
+                for fn in COMMUTANT_FORMS:
+                    got = fn(g, t, h)
+                    assert got.diagnostics.terms_used == n_stop
+                    assert got.diagnostics.tail_bound == want.diagnostics.tail_bound
+                    assert got.diagnostics.cap_hit == want.diagnostics.cap_hit
+                    assert got.diagnostics.inner_terms_used == max(n_stop - 1, 0)
+                    assert relative_difference(got.value, want.value) <= 1e-12
+
+    def test_cap_hit_reported_like_direct(self):
+        rng = np.random.default_rng(33)
+        g = builtin_series("geometric")
+        t, h = random_matrix(rng, 3, norm=0.9), random_matrix(rng, 3)
+        pol = TruncationPolicy(max_terms=5)
+        want = frechet_direct(g, t, h, pol).diagnostics
+        assert want.cap_hit
+        for fn in COMMUTANT_FORMS:
+            got = fn(g, t, h, pol).diagnostics
+            assert (got.terms_used, got.tail_bound, got.cap_hit) \
+                == (want.terms_used, want.tail_bound, want.cap_hit)
+
+    @pytest.mark.parametrize("fn", COMMUTANT_FORMS)
+    def test_constant_series_has_zero_differential(self, fn):
+        rng = np.random.default_rng(34)
+        t, h = random_matrix(rng, 3, norm=0.7), random_matrix(rng, 3)
+        res = fn(from_coefficients([2.5], radius=math.inf), t, h)
+        assert res.diagnostics.terms_used == 0
+        assert res.diagnostics.inner_terms_used == 0
+        np.testing.assert_array_equal(res.value.entries, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("fn", COMMUTANT_FORMS)
+    def test_linear_polynomial_is_scaled_h(self, fn):
+        rng = np.random.default_rng(35)
+        t, h = random_matrix(rng, 3, norm=0.7), random_matrix(rng, 3)
+        res = fn(from_coefficients([1.0, -3.0], radius=math.inf), t, h)
+        assert res.diagnostics.terms_used == 1
+        assert res.diagnostics.inner_terms_used == 0
+        np.testing.assert_allclose(res.value.entries, -3.0 * h.entries, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("fn", COMMUTANT_FORMS)
+    def test_zero_matrix_gives_exactly_linear_term(self, fn):
+        h = matrix([[1.0, -2.0], [0.5, 4.0]])
+        res = fn(builtin_series("exp"), zeros(2), h)
+        assert res.diagnostics.terms_used == 1
+        assert res.diagnostics.tail_bound == 0.0
+        np.testing.assert_array_equal(res.value.entries, h.entries)
+
+    @pytest.mark.parametrize("fn", COMMUTANT_FORMS)
+    def test_complex_coefficients_on_real_matrix(self, fn):
+        rng = np.random.default_rng(36)
+        coeffs = [0.5, 1j, 0.5 - 0.5j, -0.25j, 0.125]
+        t, h = random_matrix(rng, 3, norm=0.6), random_matrix(rng, 3)
+        res = fn(from_coefficients(coeffs, radius=math.inf), t, h)
+        assert res.value.field is ScalarField.COMPLEX
+        assert res.diagnostics.terms_used == 4
+        expected = polynomial_differential(coeffs, t, h)
+        assert relative_difference(res.value, expected) <= 1e-14
 
 
 class TestBallGuards:

@@ -137,7 +137,8 @@ class TestEvalMatrix:
     def test_exp_of_zero_matrix_is_identity(self):
         val, diag = eval_matrix(builtin_series("exp"), matrix(np.zeros((3, 3))))
         np.testing.assert_array_equal(val.entries, np.eye(3))
-        assert diag.within_radius and not diag.cap_hit
+        assert not diag.cap_hit
+        assert diag.terms_used == 0 and diag.tail_bound == 0.0
 
     def test_exp_of_diagonal(self):
         val, _ = eval_matrix(builtin_series("exp"), matrix(np.diag([1.0, 2.0])))
@@ -190,7 +191,7 @@ class TestEvalMatrix:
         pol = TruncationPolicy(tolerance=1e-10)
         t = matrix(0.4 * np.eye(2) / math.sqrt(2.0))
         _, diag = eval_matrix(builtin_series("geometric"), t, pol)
-        assert diag.within_radius and not diag.cap_hit
+        assert not diag.cap_hit
         assert diag.tail_bound <= pol.tolerance
 
 
