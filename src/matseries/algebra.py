@@ -155,7 +155,7 @@ class MatrixElement:
         if missing:
             raise AlgebraError(f"matrix JSON missing keys: {sorted(missing)}")
         dim = obj["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise AlgebraError(f"matrix dim must be a positive integer, got {dim!r}")
         try:
             field = ScalarField(obj["field"])
@@ -164,18 +164,22 @@ class MatrixElement:
         ent = obj["entries"]
         if not isinstance(ent, list) or len(ent) != dim * dim:
             raise AlgebraError(f"expected {dim * dim} entries, got {len(ent) if isinstance(ent, list) else type(ent)}")
-        if field is ScalarField.REAL:
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in ent):
-                raise AlgebraError("real matrix entries must be numbers")
-            arr = np.array(ent, dtype=np.float64).reshape(dim, dim)
-        else:
-            vals = []
-            for v in ent:
-                if not (isinstance(v, (list, tuple)) and len(v) == 2
-                        and all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in v)):
-                    raise AlgebraError("complex matrix entries must be [re, im] pairs")
-                vals.append(complex(v[0], v[1]))
-            arr = np.array(vals, dtype=np.complex128).reshape(dim, dim)
+        try:
+            if field is ScalarField.REAL:
+                if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in ent):
+                    raise AlgebraError("real matrix entries must be numbers")
+                arr = np.array(ent, dtype=np.float64).reshape(dim, dim)
+            else:
+                vals = []
+                for v in ent:
+                    if not (isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                    for c in v)):
+                        raise AlgebraError("complex matrix entries must be [re, im] pairs")
+                    vals.append(complex(v[0], v[1]))
+                arr = np.array(vals, dtype=np.complex128).reshape(dim, dim)
+        except OverflowError:  # integers beyond the float range
+            raise AlgebraError("matrix entries must be finite") from None
         return MatrixElement(arr, field)
 
 

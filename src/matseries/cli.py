@@ -127,7 +127,7 @@ def _policy_from(request: dict) -> TruncationPolicy:
     cap = pol.get("max_terms", 10_000)
     try:
         return TruncationPolicy(tolerance=float(tol), max_terms=int(cap))
-    except (SeriesError, TypeError, ValueError) as exc:
+    except (SeriesError, TypeError, ValueError, OverflowError) as exc:
         raise _RequestError("invalid_input", f"bad policy: {exc}") from None
 
 
@@ -148,6 +148,16 @@ def _matrix_from(inputs: dict, key: str) -> MatrixElement:
         return MatrixElement.from_json(inputs[key])
     except AlgebraError as exc:
         raise _RequestError("invalid_input", f"bad matrix {key!r}: {exc}") from None
+
+
+def _number_from(inputs: dict, key: str) -> float:
+    if key not in inputs:
+        raise _RequestError("invalid_input", f"request needs inputs.{key}")
+    try:
+        return float(inputs[key])
+    except (TypeError, ValueError, OverflowError):
+        raise _RequestError("invalid_input",
+                            f"inputs.{key} must be a number, got {inputs[key]!r}") from None
 
 
 def _result_entry(algorithm: str, value: MatrixElement, diag: EvalDiagnostics) -> dict:
@@ -191,39 +201,35 @@ def _check_caps(report: dict, entries: list[dict]) -> int:
     return _EXIT_OK
 
 
-def run_request(request: dict) -> tuple[int, dict]:
+_COMMANDS = ("eval", "diff", "compare", "curve", "integral", "identities")
+
+
+def run_request(request) -> tuple[int, dict]:
     """Execute one serialized request; returns (exit_code, report dict).
 
-    Never raises on user errors: they come back as exit code 2 with an
-    ``{"error": code, "detail": text}`` object in the report.
+    Never raises on user errors, whatever JSON value ``request`` is: they
+    come back as exit code 2 with an ``{"error": code, "detail": text}``
+    object in the report.
     """
+    command = request.get("command") if isinstance(request, dict) else None
     try:
-        command = request.get("command")
-        if command not in {"eval", "diff", "compare", "curve", "integral", "identities"}:
+        if not isinstance(request, dict):
+            raise _RequestError("invalid_input",
+                                f"a request must be a JSON object, got {type(request).__name__}")
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise _RequestError("invalid_input", f"unknown command {command!r}")
         report: dict = {"command": command}
         code = _dispatch(command, request, report)
         return code, report
     except _RequestError as exc:
-        return _EXIT_VALIDATION, {
-            "command": request.get("command"),
-            "error": {"error": exc.code, "detail": exc.detail},
-        }
+        error = {"error": exc.code, "detail": exc.detail}
     except OutsideDerivativeBallError as exc:
-        return _EXIT_VALIDATION, {
-            "command": request.get("command"),
-            "error": {"error": "outside_derivative_ball", "detail": str(exc)},
-        }
+        error = {"error": "outside_derivative_ball", "detail": str(exc)}
     except OutsideRadiusError as exc:
-        return _EXIT_VALIDATION, {
-            "command": request.get("command"),
-            "error": {"error": "outside_radius", "detail": str(exc)},
-        }
+        error = {"error": "outside_radius", "detail": str(exc)}
     except (AlgebraError, SeriesError, CurveDomainError, ValueError) as exc:
-        return _EXIT_VALIDATION, {
-            "command": request.get("command"),
-            "error": {"error": "invalid_input", "detail": str(exc)},
-        }
+        error = {"error": "invalid_input", "detail": str(exc)}
+    return _EXIT_VALIDATION, {"command": command, "error": error}
 
 
 def _dispatch(command: str, request: dict, report: dict) -> int:
@@ -243,7 +249,7 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
             raise _RequestError("invalid_input", f"unknown field tag {field_tag!r}") from None
         try:
             reports = run_identity_suite(int(trials), int(dim), int(seed), field)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _RequestError("invalid_input", str(exc)) from None
         report["identities"] = [r.to_json() for r in reports]
         report["results"] = []
@@ -291,7 +297,8 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
         return _check_caps(report, results)
 
     if command == "curve":
-        coeff_objs = inputs.get("curve", {}).get("coefficients")
+        curve_obj = inputs.get("curve", {})
+        coeff_objs = curve_obj.get("coefficients") if isinstance(curve_obj, dict) else None
         if not isinstance(coeff_objs, list) or not coeff_objs:
             raise _RequestError("invalid_input",
                                 "curve requests need inputs.curve.coefficients")
@@ -300,9 +307,7 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
             curve = polynomial_curve(mats)
         except AlgebraError as exc:
             raise _RequestError("invalid_input", f"bad curve coefficient: {exc}") from None
-        if "t" not in inputs:
-            raise _RequestError("invalid_input", "curve requests need inputs.t")
-        t_val = float(inputs["t"])
+        t_val = _number_from(inputs, "t")
         point = curve.value(t_val)
         slope = curve.derivative(t_val)
         res = frechet_derivative_series(series, point, slope, policy)
@@ -313,10 +318,8 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
 
     if command == "integral":
         w = _matrix_from(inputs, "W")
-        if "u1" not in inputs or "u2" not in inputs:
-            raise _RequestError("invalid_input", "integral requests need inputs.u1 and inputs.u2")
-        u1 = float(inputs["u1"])
-        u2 = float(inputs["u2"])
+        u1 = _number_from(inputs, "u1")
+        u2 = _number_from(inputs, "u2")
         residual = integral_identity_check(series, w, u1, u2, policy)
         report["results"] = []
         report["residual"] = residual

@@ -38,13 +38,19 @@ another:
     every discarded term.
 
 When ``h`` commutes with ``T`` every form collapses to
-``sum n a_n h T^(n-1) = g'(T) h``.
+``sum n a_n h T^(n-1) = g'(T) h``.  Every discarded term is linear in
+``h``, so each form reports its majorant times ``norm(h)`` as
+``tail_bound``.
 
 Also here: parametric curves ``t -> T(t)`` with
 ``d/dt g(T(t)) = sum_p (1/p!) g^(p)(T(t)) C(T(t))^(p-1)(T'(t))``
 (again requiring ``norm(T(t)) < R/3``), and the integral identity
 ``W @ integral_{u1}^{u2} g'(t W) dt = g(u2 W) - g(u1 W)`` checked by
-adaptive Simpson quadrature.
+adaptive Simpson quadrature with an absolute tolerance.  The integrand
+``g'(t W)`` is truncated once per check, at the largest argument norm
+``max(|u1|, |u2|) norm(W)``, and every quadrature node reuses one stack of
+the ``N+1`` powers of ``W / norm(W)`` (``(N+1) d^2`` entries); a term cap
+hit there or at either endpoint raises :class:`SeriesError`.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from .series import (
     OutsideDerivativeBallError,
     OutsideRadiusError,
     PowerSeries,
+    SeriesError,
     TruncationPolicy,
     _truncation_detail,
     derivative_series,
@@ -151,11 +158,12 @@ def _out_field(g: PowerSeries, t: MatrixElement) -> ScalarField:
     return ScalarField.REAL
 
 
-def _powers(ta: np.ndarray, count: int) -> list[np.ndarray]:
-    """[T^0, T^1, ..., T^count]."""
-    out = [np.eye(ta.shape[0], dtype=ta.dtype)]
-    for _ in range(count):
-        out.append(out[-1] @ ta)
+def _powers(ta: np.ndarray, count: int) -> np.ndarray:
+    """Stack of ``T^0, T^1, ..., T^count``, shape ``(count + 1, d, d)``, filled in place."""
+    out = np.empty((count + 1,) + ta.shape, dtype=ta.dtype)
+    out[0] = np.eye(ta.shape[0])
+    for k in range(count):
+        np.matmul(out[k], ta, out=out[k + 1])
     return out
 
 
@@ -241,21 +249,40 @@ def monomial_differential_forms(
 # The four differential algorithms
 # ---------------------------------------------------------------------------
 
+def _differential_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
+                        policy: TruncationPolicy, kind: BoundKind, nested: bool = True):
+    """Operands in the output dtype, N, and the diagnostics of a differential.
+
+    The majorant of ``kind`` bounds the discarded tail for a unit direction;
+    every discarded term is linear in ``h``, so the reported ``tail_bound``
+    is that majorant times ``norm(h)`` (an infinite bound after a cap hit
+    stays infinite).  ``nested`` forms also report
+    ``inner_terms_used = max(N - 1, 0)``.
+    """
+    ta, ha = _check_pair(t, h)
+    s = algebra_norm(t)
+    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms, kind)
+    if math.isfinite(tail):
+        tail *= algebra_norm(h)
+    field = _out_field(g, t)
+    diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
+                           cap_hit=cap_hit,
+                           inner_terms_used=max(n_stop - 1, 0) if nested else None)
+    return (ta.astype(field.dtype, copy=False), ha.astype(field.dtype, copy=False),
+            field, n_stop, diag)
+
+
 def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> DifferentialResult:
     """Differential as the termwise sum ``sum_{n=1..N} a_n u_n(T, h)``.
 
-    N comes from the first-derivative majorant ``sum_{n>N} n |a_n| s^(n-1)``.
-    The monomial differentials are accumulated with the recurrence
+    N comes from the first-derivative majorant ``sum_{n>N} n |a_n| s^(n-1)``;
+    ``tail_bound`` is that majorant times ``norm(h)``.  The monomial
+    differentials are accumulated with the recurrence
     ``u_(n+1)(T, h) = T u_n(T, h) + h T^n`` (two products per term).
     """
-    ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                               BoundKind.FIRST_DERIVATIVE)
-    field = _out_field(g, t)
-    ta = ta.astype(field.dtype, copy=False)
-    ha = ha.astype(field.dtype, copy=False)
+    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy,
+                                                      BoundKind.FIRST_DERIVATIVE, nested=False)
     acc = np.zeros_like(ta)
     if n_stop >= 1:
         u = ha
@@ -265,23 +292,7 @@ def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
             tpow = tpow @ ta
             u = ta @ u + ha @ tpow
             acc = acc + g.coefficient(n) * u
-    diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           cap_hit=cap_hit)
     return DifferentialResult(MatrixElement(acc, field), Algorithm.DIRECT, diag)
-
-
-def _commutant_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
-                     policy: TruncationPolicy):
-    """Operands in the output dtype, N, and the diagnostics of both commutant forms."""
-    ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                               BoundKind.FIRST_DERIVATIVE)
-    field = _out_field(g, t)
-    diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           cap_hit=cap_hit, inner_terms_used=max(n_stop - 1, 0))
-    return (ta.astype(field.dtype, copy=False), ha.astype(field.dtype, copy=False),
-            field, n_stop, diag)
 
 
 def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
@@ -299,7 +310,7 @@ def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     ``G_(-1) = g'(T)`` and returns ``h g'(T) - S``.  When ``[T, h] = 0``
     the subtrahend vanishes and only ``h g'(T)`` remains.
     """
-    ta, ha, field, n_stop, diag = _commutant_setup(g, t, h, policy)
+    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.FIRST_DERIVATIVE)
     eye = np.eye(ta.shape[0], dtype=ta.dtype)
     bracket = ha @ ta - ta @ ha
     b = gk = acc = np.zeros_like(ta)  # B_(k+1), G_(k-1), S
@@ -325,7 +336,7 @@ def frechet_power_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     ``Q = h B_k + T Q`` gives the second sum as ``T Q`` (four products per
     term).
     """
-    ta, ha, field, n_stop, diag = _commutant_setup(g, t, h, policy)
+    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.FIRST_DERIVATIVE)
     eye = np.eye(ta.shape[0], dtype=ta.dtype)
     b = gk = tg = q = np.zeros_like(ta)  # B_(k+1), G_(k-1), T G_(k-1), Q
     for k in range(n_stop, 0, -1):
@@ -370,16 +381,8 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
     jointly over ``m + p <= N`` with N from the ``THREE_S`` majorant, which
     dominates everything discarded.
     """
-    ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                               BoundKind.THREE_S)
-    field = _out_field(g, t)
-    ta = ta.astype(field.dtype, copy=False)
-    ha = ha.astype(field.dtype, copy=False)
-
-    diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           cap_hit=cap_hit, inner_terms_used=max(n_stop - 1, 0))
+    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.THREE_S)
+    s = diag.ball_radius_used
     if n_stop == 0:
         return DifferentialResult(MatrixElement(np.zeros_like(ta), field),
                                   Algorithm.DERIVATIVE_SERIES_FORM, diag)
@@ -390,7 +393,7 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
 
     alphas = g.coefficients(n_stop + 1)
     unit = ta / s
-    stack = np.stack(_powers(unit, n_stop - 1))
+    stack = _powers(unit, n_stop - 1)
     acc = np.zeros_like(ta)
     nested = ha  # C(T/s)^(p-1) applied to h
     for p in range(1, n_stop + 1):
@@ -594,14 +597,36 @@ _QUAD_TOL = 1e-10
 _QUAD_MAX_DEPTH = 30
 
 
+def _raise_on_cap(cap_hit: bool, policy: TruncationPolicy, s: float) -> None:
+    if cap_hit:
+        raise SeriesError(f"term cap {policy.max_terms} hit before the tolerance was met "
+                          f"at norm(u W) = {s:.6g}")
+
+
 def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Residual norm of ``W @ integral_{u1}^{u2} g'(t W) dt - (g(u2 W) - g(u1 W))``.
 
     Both endpoints must satisfy ``|u| * norm(W) < R`` (the admissible
-    parameter interval for the ray ``t -> t W``).  The integral is computed
-    by adaptive Simpson quadrature with absolute tolerance ``1e-10`` on the
-    Frobenius norm of the local error estimate.
+    parameter interval for the ray ``t -> t W``).
+
+    The integrand ``g'(t W)`` is truncated once for the whole check: N
+    comes from the value majorant of ``g'`` at ``s_max = max(|u1|, |u2|)
+    norm(W)``.  The majorant terms ``|c_n| s^n`` rise with s, so that N
+    meets the tolerance at every node of the interval.  The powers
+    ``(W / norm(W))^n``, n = 0..N, are built once, an ``(N+1) d^2`` stack,
+    and each node ``t`` is one vector-matrix product with the weights
+    ``c_n s_max^n (t / u_max)^n``, where ``u_max = max(|u1|, |u2|)``.  Every
+    weight is bounded by a majorant term the scan has summed, so nothing
+    overflows where the scan is finite.  The endpoints ``g(u W)`` are
+    evaluated independently by :func:`eval_matrix`.  If the scan or either
+    endpoint hits the term cap, :class:`SeriesError` is raised rather than
+    returning a truncated residual.
+
+    The integral is computed by adaptive Simpson quadrature with
+    *absolute* tolerance ``1e-10`` on the Frobenius norm of the local
+    error estimate; when ``norm(g'(t W))`` is far above 1 the recursion
+    can run to its depth limit.
     """
     nw = algebra_norm(w)
     if nw == 0.0:
@@ -613,14 +638,26 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
                 f"{abs(u) * nw:.6g} >= R = {g.radius:.6g}"
             )
     dg = derivative_series(g, 1)
+    u_max = max(abs(u1), abs(u2))
+    s_max = u_max * nw
+    n_stop, _tail, cap_hit = _truncation_detail(dg, s_max, policy.tolerance, policy.max_terms,
+                                                BoundKind.VALUE)
+    _raise_on_cap(cap_hit, policy, s_max)
+    field = _out_field(g, w)
+    unit = (w.entries / nw).astype(field.dtype, copy=False)
+    stack = _powers(unit, n_stop).reshape(n_stop + 1, -1)
+    degrees = np.arange(n_stop + 1)
+    weights = dg.coefficients(n_stop + 1) * s_max ** degrees
+    inv_u = 1.0 / u_max if u_max else 0.0
 
     def integrand(t: float) -> np.ndarray:
-        point = MatrixElement(t * w.entries, w.field)
-        return eval_matrix(dg, point, policy)[0].entries
+        return ((weights * (t * inv_u) ** degrees) @ stack).reshape(unit.shape)
 
     integral = _adaptive_simpson(integrand, u1, u2, _QUAD_TOL, _QUAD_MAX_DEPTH)
     lhs = w.entries @ integral
-    hi, _ = eval_matrix(g, MatrixElement(u2 * w.entries, w.field), policy)
-    lo, _ = eval_matrix(g, MatrixElement(u1 * w.entries, w.field), policy)
-    rhs = hi.entries - lo.entries
-    return float(np.linalg.norm(lhs - rhs))
+    ends = []
+    for u in (u2, u1):
+        value, diag = eval_matrix(g, MatrixElement(u * w.entries, w.field), policy)
+        _raise_on_cap(diag.cap_hit, policy, diag.ball_radius_used)
+        ends.append(value.entries)
+    return float(np.linalg.norm(lhs - (ends[0] - ends[1])))

@@ -115,8 +115,9 @@ class EvalDiagnostics:
     """What an evaluation actually did.
 
     ``terms_used`` is the highest series index included in the partial sum,
-    ``tail_bound`` the analytic majorant of everything discarded (infinite
-    when the term cap was hit before the tolerance was met), and
+    ``tail_bound`` the analytic majorant of everything discarded (for a
+    differential ``g'(T)(h)``, the majorant times ``norm(h)``; infinite
+    when the term cap was hit before the majorant scan settled), and
     ``inner_terms_used`` the largest power of ``T`` in any inner series
     when the computation nests one sum inside another.  The differential
     forms cut their double sums jointly at total degree ``terms_used``,
@@ -259,7 +260,7 @@ def builtin_series(name: str) -> PowerSeries:
     """
     try:
         fn, radius = _BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise SeriesError(f"unknown builtin series {name!r}; known: {', '.join(BUILTIN_NAMES)}") from None
     return PowerSeries(coeff_fn=fn, radius=radius, name=name)
 
@@ -309,19 +310,27 @@ def series_from_json(obj) -> PowerSeries:
     if not isinstance(raw, list) or not raw:
         raise SeriesError('"coeffs" must be a nonempty list')
     vals = []
-    for v in raw:
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise SeriesError("complex coefficients must be [re, im] pairs")
-            vals.append(complex(v[0], v[1]))
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            vals.append(float(v))
-        else:
-            raise SeriesError(f"bad coefficient {v!r}")
-    radius = obj.get("radius")
-    if radius is not None and not (isinstance(radius, (int, float)) and radius > 0):
-        raise SeriesError(f"radius must be positive, got {radius!r}")
-    return from_coefficients(vals, radius=None if radius is None else float(radius))
+    try:
+        for v in raw:
+            if isinstance(v, (list, tuple)):
+                if not (len(v) == 2 and all(_is_number(c) for c in v)):
+                    raise SeriesError("complex coefficients must be [re, im] pairs")
+                vals.append(complex(v[0], v[1]))
+            elif _is_number(v):
+                vals.append(float(v))
+            else:
+                raise SeriesError(f"bad coefficient {v!r}")
+        radius = obj.get("radius")
+        if radius is not None and not (_is_number(radius) and radius > 0):
+            raise SeriesError(f"radius must be positive, got {radius!r}")
+        radius = None if radius is None else float(radius)
+    except OverflowError:  # integers beyond the float range
+        raise SeriesError("series numbers must be finite") from None
+    return from_coefficients(vals, radius=radius)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def derivative_series(g: PowerSeries, p: int = 1) -> PowerSeries:

@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matseries.cli import dumps_stable, main, run_request
 from make_goldens import golden_commands
@@ -247,6 +250,128 @@ class TestRunRequestApi:
         code, rep = run_request({"command": "solve"})
         assert code == 2
         assert rep["error"]["error"] == "invalid_input"
+
+    def test_integral_cap_hit_is_an_error_not_a_truncated_residual(self):
+        request = {"command": "integral", "series": {"builtin": "geometric"},
+                   "inputs": {"W": _scalar_matrix(0.9999), "u1": 0.0, "u2": 1.0}}
+        code, rep = run_request(request)
+        assert code == 2
+        assert "term cap" in rep["error"]["detail"]
+        assert "residual" not in rep
+
+
+def _scalar_matrix(x):
+    return {"dim": 1, "field": "real", "entries": [x]}
+
+
+#: One small valid request per command except identities, whose trial count
+#: and dimension are honoured as given (a large one runs long by design).
+_VALID_REQUESTS = {
+    "eval": {"command": "eval", "series": {"builtin": "geometric"},
+             "inputs": {"T": _scalar_matrix(0.5)}},
+    "diff": {"command": "diff", "series": {"builtin": "geometric"},
+             "inputs": {"T": _scalar_matrix(0.25), "h": _scalar_matrix(1.0), "algorithm": "all"}},
+    "compare": {"command": "compare", "series": {"builtin": "geometric"},
+                "inputs": {"T": _scalar_matrix(0.25), "h": _scalar_matrix(1.0)}},
+    "curve": {"command": "curve", "series": {"builtin": "geometric"},
+              "inputs": {"curve": {"coefficients": [_scalar_matrix(0.1), _scalar_matrix(0.2)]},
+                         "t": 0.5}},
+    "integral": {"command": "integral", "series": {"builtin": "geometric"},
+                 "inputs": {"W": _scalar_matrix(0.5), "u1": 0.0, "u2": 1.0}},
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replaced(request: dict, path: tuple, value):
+    out = json.loads(json.dumps(request))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def _key_paths(obj, prefix=()):
+    paths = [prefix] if prefix else []
+    if isinstance(obj, dict):
+        for key, child in obj.items():
+            paths += _key_paths(child, prefix + (key,))
+    return paths
+
+
+_REPLACEABLE = [(name, path) for name, req in _VALID_REQUESTS.items()
+                for path in _key_paths(req) + [("policy",)]]
+
+
+class TestRunRequestContract:
+    """``run_request`` answers every JSON value; user errors are exit 2 with an error object."""
+
+    @staticmethod
+    def assert_rejected(request):
+        code, rep = run_request(request)
+        assert code == 2
+        assert rep["error"]["error"] == "invalid_input"
+        dumps_stable(rep)
+
+    @pytest.mark.parametrize("request_value", [[1], "eval", None, 5, 0.5, True])
+    def test_request_that_is_not_an_object(self, request_value):
+        self.assert_rejected(request_value)
+
+    @pytest.mark.parametrize("command", [["eval"], {"eval": 1}])
+    def test_list_or_object_command(self, command):
+        self.assert_rejected({"command": command})
+
+    @pytest.mark.parametrize("curve", [5, "poly", [1], None])
+    def test_non_object_curve(self, curve):
+        self.assert_rejected(_replaced(_VALID_REQUESTS["curve"], ("inputs", "curve"), curve))
+
+    @pytest.mark.parametrize("value", [[1], {}, {"x": 1}, 10 ** 400, "x"])
+    @pytest.mark.parametrize("command,key", [("curve", "t"), ("integral", "u1"),
+                                             ("integral", "u2")])
+    def test_non_number_parameter(self, command, key, value):
+        self.assert_rejected(_replaced(_VALID_REQUESTS[command], ("inputs", key), value))
+
+    @pytest.mark.parametrize("series", [{"builtin": ["exp"]}, {"coeffs": [["a", 1]]},
+                                        {"coeffs": [[None, 1]]}, {"coeffs": [10 ** 400]},
+                                        {"coeffs": [1.0], "radius": 10 ** 400}])
+    def test_malformed_series(self, series):
+        code, rep = run_request(_replaced(_VALID_REQUESTS["eval"], ("series",), series))
+        assert code == 2
+        assert rep["error"]["error"] in ("invalid_input", "unknown_series")
+
+    @pytest.mark.parametrize("matrix_json", [
+        {"dim": True, "field": "real", "entries": [0.5]},
+        {"dim": 1, "field": "real", "entries": [10 ** 400]},
+        {"dim": 1, "field": "complex", "entries": [[10 ** 400, 0]]},
+    ])
+    def test_malformed_matrix(self, matrix_json):
+        self.assert_rejected(_replaced(_VALID_REQUESTS["eval"], ("inputs", "T"), matrix_json))
+
+    @pytest.mark.parametrize("policy", [{"max_terms": math.inf}, {"tolerance": 10 ** 400}])
+    def test_out_of_range_policy(self, policy):
+        self.assert_rejected(_replaced(_VALID_REQUESTS["eval"], ("policy",), policy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=_JSON)
+    def test_never_raises_on_any_json_value(self, value):
+        code, rep = run_request(value)
+        assert code in (0, 2, 3)
+        dumps_stable(rep)
+
+    @settings(max_examples=100, deadline=None)
+    @given(target=st.sampled_from(_REPLACEABLE), value=_JSON)
+    def test_never_raises_with_one_field_replaced(self, target, value):
+        name, path = target
+        code, rep = run_request(_replaced(_VALID_REQUESTS[name], path, value))
+        assert code in (0, 2, 3)
+        assert (code == 0) == ("error" not in rep)
+        dumps_stable(rep)
 
 
 def test_console_entry_point_installed():

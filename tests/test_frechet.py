@@ -12,6 +12,7 @@ from matseries import (
     OutsideDerivativeBallError,
     OutsideRadiusError,
     ScalarField,
+    SeriesError,
     BUILTIN_NAMES,
     TruncationPolicy,
     algebra_norm,
@@ -35,6 +36,7 @@ from matseries import (
     polynomial_curve,
     polynomial_differential,
     relative_difference,
+    resolvent_differential,
     zeros,
 )
 from helpers import random_matrix, rel_err
@@ -322,6 +324,41 @@ class TestCommutantJointTruncation:
         assert relative_difference(res.value, expected) <= 1e-14
 
 
+class TestTailBoundCoversDirection:
+    """``tail_bound`` is the unit-direction majorant times ``norm(h)``."""
+
+    @pytest.mark.parametrize("fn", ALL_ALGORITHMS[:3])
+    def test_large_direction_error_within_bound(self, fn):
+        # a unit-direction bound (9.9e-7) would be missed by 1000 times here
+        t, h = matrix([[0.9]]), matrix([[1000.0]])
+        res = fn(builtin_series("geometric"), t, h, TruncationPolicy(tolerance=1e-6))
+        err = float(np.linalg.norm(res.value.entries - resolvent_differential(t, h).entries))
+        assert err == pytest.approx(9.9e-4, rel=1e-2)
+        assert err <= res.diagnostics.tail_bound
+
+    @pytest.mark.parametrize("fn", ALL_ALGORITHMS)
+    def test_bound_scales_with_norm_of_h_and_n_does_not(self, fn):
+        rng = np.random.default_rng(37)
+        g = builtin_series("log1p")
+        t, h = random_matrix(rng, 3, norm=0.3), random_matrix(rng, 3, norm=1.0)
+        unit = fn(g, t, h).diagnostics
+        big = fn(g, t, matrix(250.0 * h.entries)).diagnostics
+        assert big.terms_used == unit.terms_used
+        assert big.tail_bound == pytest.approx(250.0 * unit.tail_bound, rel=1e-12)
+        assert fn(g, t, zeros(3)).diagnostics.tail_bound == 0.0
+
+    @pytest.mark.parametrize("fn", ALL_ALGORITHMS)
+    def test_unmet_bound_stays_infinite_for_zero_direction(self, fn):
+        # so close to the ball's edge that the scan cannot settle past the cap
+        rng = np.random.default_rng(38)
+        norm = 0.33 if fn is frechet_derivative_series else 0.99
+        t = random_matrix(rng, 3, norm=norm)
+        pol = TruncationPolicy(max_terms=2)
+        diag = fn(builtin_series("geometric"), t, zeros(3), pol).diagnostics
+        assert diag.cap_hit
+        assert diag.tail_bound == math.inf
+
+
 class TestBallGuards:
     def test_derivative_series_rejects_outside_third(self):
         g = builtin_series("geometric")
@@ -489,6 +526,88 @@ class TestIntegralIdentity:
         w = matrix(np.eye(2))  # norm sqrt(2)
         with pytest.raises(OutsideRadiusError):
             integral_identity_check(builtin_series("geometric"), w, 0.0, 0.9)
+
+    @staticmethod
+    def assert_identity_holds(g, w, u1, u2):
+        residual = integral_identity_check(g, w, u1, u2)
+        hi, _ = eval_matrix(g, matrix(u2 * w.entries))
+        lo, _ = eval_matrix(g, matrix(u1 * w.entries))
+        scale = max(1.0, float(np.linalg.norm(hi.entries - lo.entries)))
+        assert math.isfinite(residual)
+        assert residual <= 1e-10 * scale, (residual, scale)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("coefficient-list",))
+    def test_every_series_near_the_radius(self, name):
+        # s_max / R = 0.9; entire series use R = 2, as the benchmark does
+        rng = np.random.default_rng(31)
+        if name == "coefficient-list":
+            g = from_coefficients(rng.uniform(-1.0, 1.0, 40) / 1.5 ** np.arange(40), radius=1.5)
+        else:
+            g = builtin_series(name)
+        radius = g.radius if math.isfinite(g.radius) else 2.0
+        self.assert_identity_holds(g, random_matrix(rng, 3, norm=0.9 * radius), -0.4, 1.0)
+
+    def test_complex_direction(self):
+        rng = np.random.default_rng(32)
+        w = random_matrix(rng, 3, ScalarField.COMPLEX, norm=0.8)
+        self.assert_identity_holds(builtin_series("log1p"), w, 0.0, 1.0)
+
+    def test_complex_coefficients_on_a_real_direction(self):
+        rng = np.random.default_rng(33)
+        g = from_coefficients([0.5, 1.0 + 2.0j, -0.3j, 0.25, 0.1 - 0.1j], radius=math.inf)
+        self.assert_identity_holds(g, random_matrix(rng, 3, norm=1.5), -0.5, 1.0)
+
+    @pytest.mark.parametrize("u1,u2", [(0.9, -0.6), (-0.9, -0.2)])
+    def test_endpoint_orders_and_signs(self, u1, u2):
+        rng = np.random.default_rng(34)
+        w = random_matrix(rng, 3, norm=1.0)
+        self.assert_identity_holds(builtin_series("geometric"), w, u1, u2)
+
+    def test_empty_interval_at_zero_is_exact(self):
+        w = matrix([[0.0, 2.0], [0.5, 0.0]])
+        assert integral_identity_check(builtin_series("exp"), w, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("name,u1,u2", [("exp", -1e-5, 2e-5),
+                                            ("geometric", -0.45e-6, 0.9e-6)])
+    def test_nilpotent_direction_with_a_huge_entry(self, name, u1, u2):
+        w = matrix([[0.0, 1e6], [0.0, 0.0]])
+        self.assert_identity_holds(builtin_series(name), w, u1, u2)
+
+    def test_exp_at_norm_twenty(self):
+        a = 20.0 / math.sqrt(2.0)
+        w = matrix([[0.0, a], [-a, 0.0]])  # exp(t W) is a rotation
+        assert algebra_norm(w) == pytest.approx(20.0)
+        self.assert_identity_holds(builtin_series("exp"), w, 0.0, 1.0)
+
+    def test_term_cap_raises_instead_of_truncating(self):
+        with pytest.raises(SeriesError, match="term cap"):
+            integral_identity_check(builtin_series("geometric"), matrix([[0.9999]]), 0.0, 1.0)
+
+    def test_endpoint_term_cap_raises(self):
+        # g = x^2 needs N = 2 and g' = 2x only N = 1, so a cap of 1 trips
+        # only at the endpoints
+        with pytest.raises(SeriesError, match="term cap"):
+            integral_identity_check(SQUARE_SERIES, matrix([[0.5]]), 0.0, 1.0,
+                                    TruncationPolicy(max_terms=1))
+
+    def test_one_truncation_of_the_derivative_per_check(self, monkeypatch):
+        import matseries.frechet as frechet_module
+        import matseries.series as series_module
+
+        names = []
+        original = series_module._truncation_detail
+
+        def counting(g, *args):
+            names.append(g.name)
+            return original(g, *args)
+
+        monkeypatch.setattr(series_module, "_truncation_detail", counting)
+        monkeypatch.setattr(frechet_module, "_truncation_detail", counting)
+        rng = np.random.default_rng(35)
+        w = random_matrix(rng, 4, norm=0.9)
+        integral_identity_check(builtin_series("geometric"), w, -0.3, 1.0)
+        assert names.count("geometric'") == 1
+        assert names.count("geometric") == 2  # the two endpoints
 
 
 class TestMixedInputs:
