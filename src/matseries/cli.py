@@ -8,7 +8,7 @@ Reports are serialized deterministically: object keys sorted, floats in
 fixed 17-significant-digit scientific notation, so identical requests give
 byte-identical output.  Exit codes: 0 success, 2 validation error (bad
 input, radius violation), 3 numerical failure (term cap exceeded before
-the tolerance was met).
+the tolerance was met, or a partial sum overflowed).
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .frechet import (
 from .identities import run_identity_suite
 from .series import (
     EvalDiagnostics,
+    NonFiniteResultError,
     OutsideDerivativeBallError,
     OutsideRadiusError,
     SeriesError,
+    TermCapError,
     TruncationPolicy,
     eval_matrix,
     series_from_json,
@@ -209,7 +211,9 @@ def run_request(request) -> tuple[int, dict]:
 
     Never raises on user errors, whatever JSON value ``request`` is: they
     come back as exit code 2 with an ``{"error": code, "detail": text}``
-    object in the report.
+    object in the report.  Numerical failures come back the same way with
+    exit code 3: ``cap_exceeded`` for a term cap hit, ``overflow`` for a
+    partial sum beyond the double range.
     """
     command = request.get("command") if isinstance(request, dict) else None
     try:
@@ -223,6 +227,9 @@ def run_request(request) -> tuple[int, dict]:
         return code, report
     except _RequestError as exc:
         error = {"error": exc.code, "detail": exc.detail}
+    except (TermCapError, NonFiniteResultError) as exc:
+        kind = "cap_exceeded" if isinstance(exc, TermCapError) else "overflow"
+        return _EXIT_NUMERICAL, {"command": command, "error": {"error": kind, "detail": str(exc)}}
     except OutsideDerivativeBallError as exc:
         error = {"error": "outside_derivative_ball", "detail": str(exc)}
     except OutsideRadiusError as exc:

@@ -40,7 +40,9 @@ another:
 When ``h`` commutes with ``T`` every form collapses to
 ``sum n a_n h T^(n-1) = g'(T) h``.  Every discarded term is linear in
 ``h``, so each form reports its majorant times ``norm(h)`` as
-``tail_bound``.
+``tail_bound``.  Each majorant term is the smaller of the a priori term
+in ``s = norm(T)`` and the power-norm term that bounds ``norm(T^m)`` by
+``K rho^m`` from the computed ``norm(T T)`` (see :mod:`matseries.series`).
 
 Also here: parametric curves ``t -> T(t)`` with
 ``d/dt g(T(t)) = sum_p (1/p!) g^(p)(T(t)) C(T(t))^(p-1)(T'(t))``
@@ -50,7 +52,7 @@ adaptive Simpson quadrature with an absolute tolerance.  The integrand
 ``g'(t W)`` is truncated once per check, at the largest argument norm
 ``max(|u1|, |u2|) norm(W)``, and every quadrature node reuses one stack of
 the ``N+1`` powers of ``W / norm(W)`` (``(N+1) d^2`` entries); a term cap
-hit there or at either endpoint raises :class:`SeriesError`.
+hit there or at either endpoint raises :class:`TermCapError`.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ from .series import (
     OutsideDerivativeBallError,
     OutsideRadiusError,
     PowerSeries,
-    SeriesError,
+    NonFiniteResultError,
+    TermCapError,
     TruncationPolicy,
+    _finite_element,
     _truncation_detail,
     derivative_series,
     eval_matrix,
@@ -253,15 +257,15 @@ def _differential_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
                         policy: TruncationPolicy, kind: BoundKind, nested: bool = True):
     """Operands in the output dtype, N, and the diagnostics of a differential.
 
-    The majorant of ``kind`` bounds the discarded tail for a unit direction;
-    every discarded term is linear in ``h``, so the reported ``tail_bound``
-    is that majorant times ``norm(h)`` (an infinite bound after a cap hit
-    stays infinite).  ``nested`` forms also report
-    ``inner_terms_used = max(N - 1, 0)``.
+    The majorant of ``kind``, refined by the power norms of ``T``, bounds
+    the discarded tail for a unit direction; every discarded term is
+    linear in ``h``, so the reported ``tail_bound`` is that majorant times
+    ``norm(h)`` (an infinite bound after a cap hit stays infinite).
+    ``nested`` forms also report ``inner_terms_used = max(N - 1, 0)``.
     """
     ta, ha = _check_pair(t, h)
     s = algebra_norm(t)
-    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms, kind)
+    n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms, kind, ta)
     if math.isfinite(tail):
         tail *= algebra_norm(h)
     field = _out_field(g, t)
@@ -276,7 +280,8 @@ def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> DifferentialResult:
     """Differential as the termwise sum ``sum_{n=1..N} a_n u_n(T, h)``.
 
-    N comes from the first-derivative majorant ``sum_{n>N} n |a_n| s^(n-1)``;
+    N comes from the first-derivative majorant ``sum_{n>N} n |a_n| s^(n-1)``,
+    termwise refined to ``K^2 n |a_n| rho^(n-1)`` where that is smaller;
     ``tail_bound`` is that majorant times ``norm(h)``.  The monomial
     differentials are accumulated with the recurrence
     ``u_(n+1)(T, h) = T u_n(T, h) + h T^n`` (two products per term).
@@ -292,7 +297,8 @@ def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
             tpow = tpow @ ta
             u = ta @ u + ha @ tpow
             acc = acc + g.coefficient(n) * u
-    return DifferentialResult(MatrixElement(acc, field), Algorithm.DIRECT, diag)
+    return DifferentialResult(_finite_element(acc, field, diag.ball_radius_used),
+                              Algorithm.DIRECT, diag)
 
 
 def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
@@ -319,7 +325,7 @@ def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
         gk = b + ta @ gk
         if k >= 2:
             acc = bracket @ gk + ta @ acc
-    return DifferentialResult(MatrixElement(ha @ gk - acc, field),
+    return DifferentialResult(_finite_element(ha @ gk - acc, field, diag.ball_radius_used),
                               Algorithm.COMMUTANT_FORM, diag)
 
 
@@ -347,7 +353,7 @@ def frechet_power_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
             q = ha @ b + ta @ q
     # after k = 1: gk = G_(-1) = g'(T) and tg = T G_0 = sum_{k>=2} T^(k-1) B_k
     value = ha @ gk - (ha @ tg - ta @ q)
-    return DifferentialResult(MatrixElement(value, field),
+    return DifferentialResult(_finite_element(value, field, diag.ball_radius_used),
                               Algorithm.POWER_COMMUTANT_FORM, diag)
 
 
@@ -379,7 +385,8 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
     Expanding ``(1/p!) g^(p)(T) = sum_m binom(m+p, p) a_(m+p) T^m`` turns
     the whole expression into a double sum over ``(p, m)``; it is truncated
     jointly over ``m + p <= N`` with N from the ``THREE_S`` majorant, which
-    dominates everything discarded.
+    dominates everything discarded (termwise refined to
+    ``K |a_n| (rho + 2 s)^n / (2 s)`` where that is smaller).
     """
     ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.THREE_S)
     s = diag.ball_radius_used
@@ -403,7 +410,7 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
         acc = acc + deriv_p @ nested
         if p < n_stop:
             nested = nested @ unit - unit @ nested
-    return DifferentialResult(MatrixElement(acc, field),
+    return DifferentialResult(_finite_element(acc, field, s),
                               Algorithm.DERIVATIVE_SERIES_FORM, diag)
 
 
@@ -599,7 +606,7 @@ _QUAD_MAX_DEPTH = 30
 
 def _raise_on_cap(cap_hit: bool, policy: TruncationPolicy, s: float) -> None:
     if cap_hit:
-        raise SeriesError(f"term cap {policy.max_terms} hit before the tolerance was met "
+        raise TermCapError(f"term cap {policy.max_terms} hit before the tolerance was met "
                           f"at norm(u W) = {s:.6g}")
 
 
@@ -612,16 +619,16 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
 
     The integrand ``g'(t W)`` is truncated once for the whole check: N
     comes from the value majorant of ``g'`` at ``s_max = max(|u1|, |u2|)
-    norm(W)``.  The majorant terms ``|c_n| s^n`` rise with s, so that N
-    meets the tolerance at every node of the interval.  The powers
-    ``(W / norm(W))^n``, n = 0..N, are built once, an ``(N+1) d^2`` stack,
-    and each node ``t`` is one vector-matrix product with the weights
-    ``c_n s_max^n (t / u_max)^n``, where ``u_max = max(|u1|, |u2|)``.  Every
-    weight is bounded by a majorant term the scan has summed, so nothing
-    overflows where the scan is finite.  The endpoints ``g(u W)`` are
-    evaluated independently by :func:`eval_matrix`.  If the scan or either
-    endpoint hits the term cap, :class:`SeriesError` is raised rather than
-    returning a truncated residual.
+    norm(W)``, refined by the power norms of the matrix ``u_max W``, where
+    ``u_max = max(|u1|, |u2|)``.  Every power ``(t W)^n`` of the interval
+    is at most ``(u_max W)^n`` in norm, so that N meets the tolerance at
+    every node.  The powers ``(W / norm(W))^n``, n = 0..N, are built once,
+    an ``(N+1) d^2`` stack, and each node ``t`` is one vector-matrix product
+    with the weights ``c_n s_max^n (t / u_max)^n``; weights beyond the
+    double range raise :class:`NonFiniteResultError`.  The endpoints
+    ``g(u W)`` are evaluated independently by :func:`eval_matrix`.  If the
+    scan or either endpoint hits the term cap, :class:`TermCapError` is
+    raised rather than returning a truncated residual.
 
     The integral is computed by adaptive Simpson quadrature with
     *absolute* tolerance ``1e-10`` on the Frobenius norm of the local
@@ -641,13 +648,17 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
     u_max = max(abs(u1), abs(u2))
     s_max = u_max * nw
     n_stop, _tail, cap_hit = _truncation_detail(dg, s_max, policy.tolerance, policy.max_terms,
-                                                BoundKind.VALUE)
+                                                BoundKind.VALUE, u_max * w.entries)
     _raise_on_cap(cap_hit, policy, s_max)
     field = _out_field(g, w)
     unit = (w.entries / nw).astype(field.dtype, copy=False)
     stack = _powers(unit, n_stop).reshape(n_stop + 1, -1)
     degrees = np.arange(n_stop + 1)
-    weights = dg.coefficients(n_stop + 1) * s_max ** degrees
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = dg.coefficients(n_stop + 1) * s_max ** degrees
+    if not np.isfinite(weights).all():
+        raise NonFiniteResultError(f"integrand weights overflow the double range at "
+                                   f"norm(u W) = {s_max:.6g}")
     inv_u = 1.0 / u_max if u_max else 0.0
 
     def integrand(t: float) -> np.ndarray:

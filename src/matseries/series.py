@@ -7,12 +7,14 @@ matrix ``T`` with ``algebra_norm(T) < R`` truncates the sum at an index
 below the requested tolerance.  Four majorants are supported
 (:class:`BoundKind`), each a scalar series in ``s = norm(T)``:
 
-=================  ==============================================
-``VALUE``          ``sum_{n>N} |a_n| s^n``
-``FIRST_DERIVATIVE``  ``sum_{n>N} n |a_n| s^(n-1)``
-``SECOND_ORDER``   ``sum_{n>N} n (n-1) |a_n| s^(n-1)``
-``THREE_S``        ``(1/s) sum_{n>N} |a_n| (3 s)^n``  (needs ``s < R/3``)
-=================  ==============================================
+=====================  ===========================================  ==============================================
+kind                   a priori term (``norm(T^m) <= s^m``)         power-norm term (``norm(T^m) <= K rho^m``)
+=====================  ===========================================  ==============================================
+``VALUE``              ``|a_n| s^n``                                ``K |a_n| rho^n``
+``FIRST_DERIVATIVE``   ``n |a_n| s^(n-1)``                          ``K^2 n |a_n| rho^(n-1)``
+``SECOND_ORDER``       ``n (n-1) |a_n| s^(n-1)``                    (none)
+``THREE_S``            ``|a_n| (3 s)^n / s``  (needs ``s < R/3``)    ``K |a_n| (rho + 2 s)^n / (2 s)``
+=====================  ===========================================  ==============================================
 
 The first bounds the value tail, the second the tail of the differential
 expansion ``sum n a_n ...`` (via ``norm`` of the monomial differential
@@ -22,13 +24,34 @@ algorithm in the package selects, and the fourth bounds the
 nested-commutant derivative expansion, which only converges inside the
 smaller ball ``norm(T) < R/3``.
 
-Tails are summed numerically: terms are accumulated until they drop below
-``tolerance * 1e-3`` and a geometric remainder estimate (last term times
-``r / (1 - r)`` with ``r`` the recent per-step ratio) is folded in.  Inside
-the radius the majorant terms decay geometrically, so the estimate is
-conservative for eventually-ratio-decreasing series.  Coefficient rules
-whose support has gaps longer than twelve consecutive zero terms are
-treated as finite (polynomial) series.
+When the matrix ``T`` itself is at hand (every matrix evaluation and
+differential), one product gives ``rho = sqrt(min(s^2, norm(fl(T T)) +
+gamma s^2))``, with ``gamma = 4 d u / (1 - 4 d u)`` the rounding allowance
+of the product and u the unit roundoff, and ``K = s / rho >= 1``.  Then
+``norm(T^m) <= K rho^m`` for every ``m >= 1``: even powers are products of
+squares and odd ones carry one more factor ``s``.  The power-norm terms
+follow: ``norm(T^a h T^b) <= K^2 rho^(a+b) norm(h)`` for the monomial
+differential, and ``sum_p binom(n, p) K rho^(n-p) (2 s)^(p-1)`` for the
+nested commutators.  The scan takes the termwise minimum of the two
+columns, so N never exceeds the a priori N and the reported tail bound
+stays a true bound; for a non-normal or strongly decaying ``T``, ``rho``
+is far below ``s`` and N falls many-fold.  The scalar paths
+(:func:`choose_truncation`, :func:`eval_scalar`) and ``SECOND_ORDER`` use
+the a priori column alone, as do matrices whose square or ``s^2`` is not
+a finite normal number.  Terms are computed without raising: a power
+beyond the float range is taken in log space.
+
+Tails are summed numerically.  An explicit coefficient list
+(:func:`from_coefficients`, and the derivative series of one) knows its
+last nonzero coefficient, so its scan sums every term up to it and
+nothing lies beyond.  For an opaque coefficient rule, terms are
+accumulated until they drop below ``tolerance * 1e-3`` and a geometric
+remainder estimate (last term times ``r / (1 - r)`` with ``r`` the recent
+per-step ratio) is folded in.  Inside the radius the majorant terms decay
+geometrically, so the estimate is conservative for
+eventually-ratio-decreasing series.  Rules whose support has gaps longer
+than twelve consecutive zero terms are treated as finite (polynomial)
+series.
 """
 
 from __future__ import annotations
@@ -47,6 +70,8 @@ __all__ = [
     "SeriesError",
     "OutsideRadiusError",
     "OutsideDerivativeBallError",
+    "TermCapError",
+    "NonFiniteResultError",
     "BoundKind",
     "TruncationPolicy",
     "EvalDiagnostics",
@@ -85,6 +110,14 @@ class OutsideDerivativeBallError(OutsideRadiusError):
     """
 
 
+class TermCapError(SeriesError):
+    """The term cap was hit before the tail majorant met the tolerance."""
+
+
+class NonFiniteResultError(SeriesError):
+    """A partial sum overflowed the double range, so it has no finite value to report."""
+
+
 class BoundKind(enum.Enum):
     VALUE = "value"
     FIRST_DERIVATIVE = "first-derivative"
@@ -115,14 +148,16 @@ class EvalDiagnostics:
     """What an evaluation actually did.
 
     ``terms_used`` is the highest series index included in the partial sum,
-    ``tail_bound`` the analytic majorant of everything discarded (for a
-    differential ``g'(T)(h)``, the majorant times ``norm(h)``; infinite
-    when the term cap was hit before the majorant scan settled), and
-    ``inner_terms_used`` the largest power of ``T`` in any inner series
-    when the computation nests one sum inside another.  The differential
-    forms cut their double sums jointly at total degree ``terms_used``,
-    so it is ``max(terms_used - 1, 0)`` there (the inner series
-    ``g'(T)`` of the commutant forms, the ``g^(p)(T)`` of the
+    ``tail_bound`` the analytic majorant of everything discarded: the sum
+    past ``terms_used`` of the termwise minimum of the a priori term and
+    the power-norm term built from ``norm(T T)`` (see the module
+    docstring); for a differential ``g'(T)(h)``, that majorant times
+    ``norm(h)``; infinite when the term cap was hit before the majorant
+    scan settled.  ``inner_terms_used`` is the largest power of ``T`` in
+    any inner series when the computation nests one sum inside another.
+    The differential forms cut their double sums jointly at total degree
+    ``terms_used``, so it is ``max(terms_used - 1, 0)`` there (the inner
+    series ``g'(T)`` of the commutant forms, the ``g^(p)(T)`` of the
     derivative-series form).
     """
 
@@ -150,7 +185,10 @@ class PowerSeries:
     user rules fail loudly instead of looping forever.  ``radius`` may be
     ``math.inf`` for entire functions; ``radius_is_estimate`` marks radii
     recovered from a finite coefficient window rather than supplied
-    exactly.
+    exactly.  ``_degree`` is set by :func:`from_coefficients` and
+    :func:`derivative_series` to the index of the last nonzero coefficient
+    of an explicit list, so truncation scans stop there exactly; it is
+    ``None`` for an opaque rule.
     """
 
     coeff_fn: Callable[[int], complex]
@@ -160,6 +198,7 @@ class PowerSeries:
     radius_is_estimate: bool = False
     coeff_cap: int = DEFAULT_COEFF_CAP
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _degree: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.radius > 0):
@@ -286,12 +325,14 @@ def from_coefficients(coeffs, radius: float | None = None, name: str | None = No
     def coeff(n: int, _a=arr):
         return _a[n] if n < _a.size else (0j if is_complex else 0.0)
 
+    support = np.flatnonzero(arr)
     return PowerSeries(
         coeff_fn=coeff,
         radius=r,
         name=name,
         complex_coefficients=is_complex,
         radius_is_estimate=estimated,
+        _degree=int(support[-1]) if support.size else 0,
     )
 
 
@@ -336,10 +377,11 @@ def _is_number(v) -> bool:
 def derivative_series(g: PowerSeries, p: int = 1) -> PowerSeries:
     """Termwise p-th derivative: coefficients ``b_m = a_(m+p) (m+p)!/m!``.
 
-    The radius is unchanged.  The falling-factorial product is applied one
-    integer factor at a time (descending), so ``derivative_series(g, p)``
-    is coefficient-for-coefficient identical to composing single
-    derivatives p times.
+    The radius is unchanged, and so is a known support: the derivative of
+    an explicit list ends p places earlier.  The falling-factorial product
+    is applied one integer factor at a time (descending), so
+    ``derivative_series(g, p)`` is coefficient-for-coefficient identical to
+    composing single derivatives p times.
     """
     if not (isinstance(p, int) and p >= 1):
         raise SeriesError(f"derivative order must be a positive integer, got {p!r}")
@@ -360,6 +402,7 @@ def derivative_series(g: PowerSeries, p: int = 1) -> PowerSeries:
         complex_coefficients=g.complex_coefficients,
         radius_is_estimate=g.radius_is_estimate,
         coeff_cap=max(0, g.coeff_cap - p),
+        _degree=None if g._degree is None else max(g._degree - p, 0),
     )
 
 
@@ -396,7 +439,7 @@ _ZERO_RUN_FINITE = 12  # consecutive zero majorant terms treated as series end
 
 
 def _scan_terms(term_fn: Callable[[int], float], tolerance: float, limit: int):
-    """Accumulate majorant terms until they are negligible.
+    """Accumulate majorant terms of an opaque rule until they are negligible.
 
     Returns ``(terms, remainder, converged)`` where ``remainder`` bounds
     the mass beyond the scanned window (geometric domination from the
@@ -448,38 +491,89 @@ def _smallest_index(terms: list[float], remainder: float, tolerance: float) -> t
 _SCAN_MARGIN = 64  # extra indices scanned past max_terms to settle convergence
 
 
-def _detail_from_terms(term_fn, tolerance: float, limit: int,
-                       scan_limit: int | None = None) -> tuple[int, float, bool]:
-    """(N, tail_bound, cap_hit) for a generic nonnegative majorant.
+def _term(c: float, base: float, n: int) -> float:
+    """``c * base**n`` for ``c, base >= 0``; never raises.
 
-    ``limit`` caps the returned index; the scan itself may look a little
-    beyond it so that a tight cap on a rapidly converging series is still
-    recognized as converged.
+    A Python float power raises ``OverflowError`` past the double range,
+    while the product with a small ``c`` can still be finite, so an
+    overflowing power is taken in log space (inf only when the term
+    itself overflows).
     """
-    if scan_limit is None:
-        scan_limit = limit
-    terms, remainder, converged = _scan_terms(term_fn, tolerance, scan_limit)
-    if not converged:
-        return limit, math.inf, True
-    n, tail = _smallest_index(terms, remainder, tolerance)
-    if n > limit:
-        capped_tail = remainder + math.fsum(terms[limit + 1:])
-        return limit, capped_tail, True
-    return n, tail, False
+    try:
+        return c * base**n
+    except OverflowError:
+        if c == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(c) + n * math.log(base))
+        except OverflowError:
+            return math.inf
 
 
-def _bound_term_fn(g: PowerSeries, s: float, kind: BoundKind) -> Callable[[int], float]:
+#: Unit roundoff of a double.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _power_bound(ta: np.ndarray | None, s: float) -> tuple[float, float] | None:
+    """``(K, rho)`` with ``norm(T^m) <= K rho^m`` for every ``m >= 1``, from one product.
+
+    ``rho = sqrt(min(s^2, norm(fl(T T)) + gamma s^2))`` with
+    ``gamma = 4 d u / (1 - 4 d u)``, which covers the rounding of the
+    product, and ``K = s / rho``.  ``None`` without a matrix, at ``s = 0``,
+    and when ``s^2`` or the square is not finite or ``gamma s^2`` is below
+    the normal range (there the rounding allowance no longer holds).
+    """
+    if ta is None or not s > 0.0:
+        return None
+    s2 = s * s
+    du = 4.0 * ta.shape[0] * _UNIT_ROUNDOFF
+    allowance = du / (1.0 - du) * s2
+    if not (math.isfinite(s2) and allowance >= np.finfo(np.float64).tiny):
+        return None
+    square = float(np.linalg.norm(ta @ ta))
+    if not math.isfinite(square):
+        return None
+    rho = math.sqrt(min(s2, square + allowance))
+    return s / rho, rho
+
+
+def _bound_term_fn(g: PowerSeries, s: float, kind: BoundKind,
+                   power_bound: tuple[float, float] | None = None) -> Callable[[int], float]:
+    """Term n of the ``kind`` majorant at norm s.
+
+    With ``power_bound = (K, rho)`` from :func:`_power_bound`, the termwise
+    minimum of the a priori term and the power-norm term (the two columns
+    of the module docstring's table); ``SECOND_ORDER`` has no power-norm
+    term.
+    """
     # 0**0 == 1 throughout, so the s == 0 cases come out right.
     if kind is BoundKind.VALUE:
-        return lambda n: abs(g.coefficient(n)) * s**n
-    if kind is BoundKind.FIRST_DERIVATIVE:
-        return lambda n: 0.0 if n == 0 else n * abs(g.coefficient(n)) * s ** (n - 1)
-    if kind is BoundKind.SECOND_ORDER:
-        return lambda n: 0.0 if n < 2 else n * (n - 1) * abs(g.coefficient(n)) * s ** (n - 1)
-    if kind is BoundKind.THREE_S:
+        prior = lambda n, c: _term(c, s, n)
+    elif kind is BoundKind.FIRST_DERIVATIVE:
+        prior = lambda n, c: n * _term(c, s, n - 1) if n else 0.0
+    elif kind is BoundKind.SECOND_ORDER:
+        prior = lambda n, c: n * (n - 1) * _term(c, s, n - 1) if n >= 2 else 0.0
+    elif kind is BoundKind.THREE_S:
         # 3^n s^(n-1), written to avoid overflow of 3^n alone.
-        return lambda n: 0.0 if n == 0 else abs(g.coefficient(n)) * 3.0 * (3.0 * s) ** (n - 1)
-    raise SeriesError(f"unknown bound kind {kind!r}")
+        prior = lambda n, c: _term(3.0 * c, 3.0 * s, n - 1) if n else 0.0
+    else:
+        raise SeriesError(f"unknown bound kind {kind!r}")
+    coefficient = g.coefficient
+    if power_bound is None or kind is BoundKind.SECOND_ORDER:
+        return lambda n: prior(n, abs(coefficient(n)))
+    k, rho = power_bound
+    if kind is BoundKind.VALUE:
+        post = lambda n, c: _term(k * c, rho, n)
+    elif kind is BoundKind.FIRST_DERIVATIVE:
+        post = lambda n, c: n * _term(k * k * c, rho, n - 1) if n else 0.0
+    else:
+        post = lambda n, c: _term(k * c / (2.0 * s), rho + 2.0 * s, n) if n else 0.0
+
+    def term(n: int) -> float:
+        c = abs(coefficient(n))
+        return min(prior(n, c), post(n, c))
+
+    return term
 
 
 def _check_ball(g: PowerSeries, s: float, kind: BoundKind) -> None:
@@ -497,11 +591,38 @@ def _check_ball(g: PowerSeries, s: float, kind: BoundKind) -> None:
 
 
 def _truncation_detail(g: PowerSeries, s: float, tolerance: float, max_terms: int,
-                       kind: BoundKind) -> tuple[int, float, bool]:
+                       kind: BoundKind, ta: np.ndarray | None = None) -> tuple[int, float, bool]:
+    """``(N, tail_bound, cap_hit)``: the smallest N whose ``kind`` majorant tail is below tolerance.
+
+    The one truncation path of the package.  The ball check uses ``s``
+    alone.  When the matrix ``ta`` (norm ``s``) is given, each majorant
+    term is the minimum of the a priori term and the power-norm term from
+    ``norm(T T)`` (:func:`_power_bound`), so N and the tail bound are never
+    larger than without it and the tail bound stays rigorous.  An explicit
+    list is scanned to its last nonzero coefficient and has nothing beyond
+    it; an opaque rule is scanned by :func:`_scan_terms`, a little past
+    ``max_terms`` so that a tight cap on a fast series still settles.  If
+    N would exceed ``max_terms``, N is ``max_terms``, ``cap_hit`` is set
+    and the tail bound is what the cap leaves (infinite when the scan did
+    not settle).
+    """
     _check_ball(g, s, kind)
     limit = min(max_terms, g.coeff_cap)
-    scan_limit = min(limit + _SCAN_MARGIN, g.coeff_cap)
-    return _detail_from_terms(_bound_term_fn(g, s, kind), tolerance, limit, scan_limit)
+    term_fn = _bound_term_fn(g, s, kind, _power_bound(ta, s))
+    if g._degree is not None:
+        last = min(g._degree, g.coeff_cap)
+        terms = [term_fn(n) for n in range(last + 1)]
+        remainder, converged = (0.0, True) if last == g._degree else (math.inf, False)
+    else:
+        scan_limit = min(limit + _SCAN_MARGIN, g.coeff_cap)
+        terms, remainder, converged = _scan_terms(term_fn, tolerance, scan_limit)
+    if not converged:
+        return limit, math.inf, True
+    n, tail = _smallest_index(terms, remainder, tolerance)
+    if n > limit:
+        capped_tail = remainder + math.fsum(terms[limit + 1:])
+        return limit, capped_tail, True
+    return n, tail, False
 
 
 def choose_truncation(g: PowerSeries, s: float, policy: TruncationPolicy = DEFAULT_POLICY) -> int:
@@ -511,7 +632,8 @@ def choose_truncation(g: PowerSeries, s: float, policy: TruncationPolicy = DEFAU
     ``THREE_S`` bound, :class:`OutsideDerivativeBallError` when
     ``s >= radius/3``).  If the term cap is hit first, ``max_terms`` is
     returned; callers see that through evaluation diagnostics rather than
-    an exception.
+    an exception.  Only the norm is known here, so this is the a priori
+    majorant of the module docstring's table.
     """
     n, _tail, _cap = _truncation_detail(g, s, policy.tolerance, policy.max_terms, policy.bound_kind)
     return n
@@ -527,7 +649,7 @@ def eval_scalar(g: PowerSeries, x, policy: TruncationPolicy = DEFAULT_POLICY):
     n_stop, _tail, cap_hit = _truncation_detail(g, mag, policy.tolerance, policy.max_terms,
                                                 BoundKind.VALUE)
     if cap_hit:
-        raise SeriesError(
+        raise TermCapError(
             f"term cap {policy.max_terms} hit before the tolerance was met at |x| = {mag:.6g}"
         )
     acc = g.coefficient(0) * (x**0)
@@ -544,12 +666,14 @@ def eval_matrix(g: PowerSeries, t: MatrixElement,
 
     Requires ``algebra_norm(T) < radius`` (strict; the boundary is
     rejected).  Returns the partial sum and the diagnostics describing the
-    truncation actually used.  The result field is complex when either the
-    matrix or the coefficients are complex.
+    truncation actually used; N comes from the termwise minimum of the a
+    priori and the power-norm value majorants.  The result field is complex
+    when either the matrix or the coefficients are complex.  Raises
+    :class:`NonFiniteResultError` when the partial sum overflows.
     """
     s = algebra_norm(t)
     n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
-                                               BoundKind.VALUE)
+                                               BoundKind.VALUE, t.entries)
     out_field = ScalarField.COMPLEX if (t.field is ScalarField.COMPLEX or g.complex_coefficients) \
         else ScalarField.REAL
     arr = _eval_matrix_partial(g, t.entries.astype(out_field.dtype, copy=False), n_stop)
@@ -559,7 +683,16 @@ def eval_matrix(g: PowerSeries, t: MatrixElement,
         ball_radius_used=s,
         cap_hit=cap_hit,
     )
-    return MatrixElement(arr, out_field), diag
+    return _finite_element(arr, out_field, s), diag
+
+
+def _finite_element(arr: np.ndarray, field: ScalarField, s: float) -> MatrixElement:
+    """``arr`` as a result matrix; :class:`NonFiniteResultError` if a partial sum at norm s overflowed."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteResultError(
+            f"the partial sum overflowed the double range at norm(T) = {s:.6g}"
+        )
+    return MatrixElement(arr, field)
 
 
 def _eval_matrix_partial(g: PowerSeries, ta: np.ndarray, n_stop: int) -> np.ndarray:

@@ -255,13 +255,39 @@ class TestRunRequestApi:
         request = {"command": "integral", "series": {"builtin": "geometric"},
                    "inputs": {"W": _scalar_matrix(0.9999), "u1": 0.0, "u2": 1.0}}
         code, rep = run_request(request)
-        assert code == 2
+        assert code == 3
         assert "term cap" in rep["error"]["detail"]
         assert "residual" not in rep
 
 
 def _scalar_matrix(x):
     return {"dim": 1, "field": "real", "entries": [x]}
+
+
+class TestNumericalFailures:
+    """A cap hit or an overflow is exit 3 with an error object, never an exception."""
+
+    @pytest.mark.parametrize("x", [100.0, 200.0])
+    @pytest.mark.parametrize("command", ["eval", "diff"])
+    def test_exp_at_a_huge_norm(self, x, command):
+        request = {"command": command, "series": {"builtin": "exp"},
+                   "inputs": {"T": _scalar_matrix(x), "h": _scalar_matrix(1.0),
+                              "algorithm": "direct"}}
+        code, rep = run_request(request)
+        if code == 0:
+            got = rep["results"][0]
+            assert abs(got["value"]["entries"][0] - math.exp(x)) <= got["diagnostics"]["tail_bound"]
+        else:
+            assert code == 3
+            assert rep["error"]["error"] == "overflow"
+            assert "overflowed" in rep["error"]["detail"]
+
+    def test_integral_cap_hit_reports_cap_exceeded(self):
+        request = {"command": "integral", "series": {"builtin": "geometric"},
+                   "inputs": {"W": _scalar_matrix(0.9999), "u1": 0.0, "u2": 1.0}}
+        code, rep = run_request(request)
+        assert code == 3
+        assert rep["error"]["error"] == "cap_exceeded"
 
 
 #: One small valid request per command except identities, whose trial count

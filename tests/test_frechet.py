@@ -7,6 +7,7 @@ import pytest
 
 from matseries import (
     Algorithm,
+    BoundKind,
     CurveDomainError,
     MatrixCurve,
     OutsideDerivativeBallError,
@@ -18,6 +19,7 @@ from matseries import (
     algebra_norm,
     block_triangular_differential,
     builtin_series,
+    choose_truncation,
     curve_derivative,
     derivative_series,
     derivative_series_growth,
@@ -39,7 +41,7 @@ from matseries import (
     resolvent_differential,
     zeros,
 )
-from helpers import random_matrix, rel_err
+from helpers import STRUCTURES, random_matrix, rel_err, structured_matrix
 
 ALL_ALGORITHMS = (frechet_direct, frechet_commutant,
                   frechet_power_commutant, frechet_derivative_series)
@@ -357,6 +359,92 @@ class TestTailBoundCoversDirection:
         diag = fn(builtin_series("geometric"), t, zeros(3), pol).diagnostics
         assert diag.cap_hit
         assert diag.tail_bound == math.inf
+
+
+def _a_priori_reference(g, t, h):
+    """``g(T)`` and ``g'(T)(h)`` summed to the a priori N (``norm(T)`` alone) of a 1e-16 tolerance."""
+    ta, ha = t.entries.astype(complex), h.entries.astype(complex)
+    s = algebra_norm(t)
+    n_value = choose_truncation(g, s, TruncationPolicy(tolerance=1e-16))
+    value = np.zeros_like(ta)
+    for n in range(n_value, -1, -1):
+        value = value @ ta + g.coefficient(n) * np.eye(len(ta))
+    n_diff = choose_truncation(g, s, TruncationPolicy(tolerance=1e-16,
+                                                      bound_kind=BoundKind.FIRST_DERIVATIVE))
+    diff, u, power = np.zeros_like(ta), ha, np.eye(len(ta), dtype=complex)
+    for n in range(1, n_diff + 1):
+        diff = diff + g.coefficient(n) * u
+        power = power @ ta
+        u = ta @ u + ha @ power
+    return value, diff
+
+
+def _log1p_differential_by_quadrature(t, h):
+    """``log1p'(T)(h) = integral_0^1 (I + x T)^-1 h (I + x T)^-1 dx`` by Gauss-Legendre."""
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    eye = np.eye(t.dim)
+    acc = np.zeros_like(t.entries)
+    for x, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        inv = np.linalg.inv(eye + x * t.entries)
+        acc = acc + w * inv @ h.entries @ inv
+    return acc
+
+
+class TestPowerNormTruncation:
+    """N from the power norms of T: never larger, and the tail bound still holds."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_errors_stay_within_the_tail_bound(self, name):
+        # entire series use R = 2, as the benchmark does; norm(h) = 10
+        g = builtin_series(name)
+        radius = g.radius if math.isfinite(g.radius) else 2.0
+        rng = np.random.default_rng(43)
+        for structure in STRUCTURES:
+            for frac in (0.3, 0.7, 0.95):
+                t = structured_matrix(rng, structure, 4, frac * radius)
+                h = structured_matrix(rng, "complex" if structure == "complex" else "gaussian",
+                                      4, 10.0)
+                ref_value, ref_diff = _a_priori_reference(g, t, h)
+                for tol in (1e-4, 1e-7):
+                    pol = TruncationPolicy(tolerance=tol)
+                    value, diag = eval_matrix(g, t, pol)
+                    results = [(value, diag, ref_value)]
+                    for fn in ALL_ALGORITHMS:
+                        if fn is frechet_derivative_series and not frac * radius < g.radius / 3:
+                            continue
+                        res = fn(g, t, h, pol)
+                        results.append((res.value, res.diagnostics, ref_diff))
+                    for got, d, ref in results:
+                        err = np.linalg.norm(got.entries - ref)
+                        slack = 1e-11 * max(1.0, np.linalg.norm(ref))
+                        assert err <= d.tail_bound + slack, (structure, frac, tol, err, d)
+
+    def test_near_radius_log1p_differential_needs_few_terms(self):
+        rng = np.random.default_rng(40)
+        t = structured_matrix(rng, "gaussian", 64, 0.9)
+        h = structured_matrix(rng, "gaussian", 64, 1.0)
+        g = builtin_series("log1p")
+        direct = frechet_direct(g, t, h)
+        assert direct.diagnostics.terms_used <= 40 < choose_truncation(
+            g, 0.9, TruncationPolicy(bound_kind=BoundKind.FIRST_DERIVATIVE))
+        second = frechet_power_commutant(g, t, h)
+        assert rel_err(direct.value, second.value) <= 1e-12
+        assert rel_err(direct.value, _log1p_differential_by_quadrature(t, h)) <= 1e-10
+
+    def test_zero_run_list_against_the_polynomial_oracle(self):
+        coeffs = [1.0] + [0.0] * 13 + [1.0]
+        g = from_coefficients(coeffs, radius=math.inf)
+        t = matrix(0.5 * np.eye(2))
+        h = matrix([[0.0, 1.0], [0.0, 0.0]])
+        res = frechet_direct(g, t, h)
+        assert res.diagnostics.terms_used == 14
+        np.testing.assert_allclose(res.value.entries,
+                                   polynomial_differential(coeffs, t, h).entries, rtol=1e-15)
+        rng = np.random.default_rng(44)
+        t, h = random_matrix(rng, 3, norm=0.9), random_matrix(rng, 3)
+        for fn in ALL_ALGORITHMS:
+            got = fn(g, t, h).value
+            assert rel_err(got, polynomial_differential(coeffs, t, h)) <= 1e-10, fn.__name__
 
 
 class TestBallGuards:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from matseries import (
     BoundKind,
     BUILTIN_NAMES,
+    NonFiniteResultError,
     OutsideDerivativeBallError,
     OutsideRadiusError,
     ScalarField,
@@ -25,6 +26,8 @@ from matseries import (
     radius_estimate,
     series_from_json,
 )
+from matseries.series import _power_bound, _truncation_detail
+from helpers import STRUCTURES, structured_matrix
 
 CLOSED_FORMS = {
     "exp": math.exp,
@@ -249,6 +252,101 @@ class TestBoundSoundness:
                 # the partial sum itself carries O(N eps |g|) rounding
                 slack = 1e-13 * max(1.0, abs(closed(s)))
                 assert residual <= diag.tail_bound + slack, (name, s, tol)
+
+
+class TestPowerNormBound:
+    @pytest.mark.parametrize("kind", STRUCTURES + ("1x1",))
+    @pytest.mark.parametrize("norm", [0.6, 1.7])
+    def test_powers_stay_below_k_rho_power(self, kind, norm):
+        rng = np.random.default_rng(41)
+        t = (matrix([[-norm]]) if kind == "1x1" else structured_matrix(rng, kind, 5, norm)).entries
+        s = float(np.linalg.norm(t))
+        k, rho = _power_bound(t, s)
+        assert k >= 1.0 and rho <= s
+        power = np.eye(t.shape[0])
+        for m in range(1, 41):
+            power = power @ t
+            # the computed power carries rounding of about m d u s^m
+            margin = 2.0 * m * t.shape[0] * 2.0**-53 * s**m
+            assert np.linalg.norm(power) <= k * rho**m * (1.0 + 1e-12) + margin, (kind, m)
+
+    def test_no_bound_without_a_usable_square(self):
+        assert _power_bound(np.zeros((3, 3)), 0.0) is None
+        assert _power_bound(None, 0.5) is None
+        huge = np.full((2, 2), 1e100)
+        assert _power_bound(huge, float(np.linalg.norm(huge))) is None  # norm(T T) overflows
+        tiny = np.full((2, 2), 1e-160)
+        assert _power_bound(tiny, float(np.linalg.norm(tiny))) is None  # below the normal range
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_matrix_path_never_above_the_scalar_path(self, name, kind):
+        g = builtin_series(name)
+        radius = g.radius if math.isfinite(g.radius) else 6.0
+        ball = radius / 3.0 if kind is BoundKind.THREE_S else radius
+        rng = np.random.default_rng(42)
+        for structure in STRUCTURES:
+            for frac in (0.3, 0.9):
+                t = structured_matrix(rng, structure, 4, frac * ball).entries
+                s = float(np.linalg.norm(t))
+                for tol in (1e-6, 1e-12):
+                    n_mat, tail, cap_hit = _truncation_detail(g, s, tol, 10_000, kind, t)
+                    n_scalar, _, _ = _truncation_detail(g, s, tol, 10_000, kind)
+                    assert n_mat == n_scalar if kind is BoundKind.SECOND_ORDER else n_mat <= n_scalar
+                    assert not cap_hit and tail <= tol, (structure, frac, tol)
+
+    def test_near_radius_log1p_needs_few_terms(self):
+        rng = np.random.default_rng(40)
+        t = structured_matrix(rng, "gaussian", 64, 0.9)
+        g = builtin_series("log1p")
+        value, diag = eval_matrix(g, t)
+        assert diag.terms_used <= 40 < choose_truncation(g, 0.9)
+        assert diag.tail_bound <= 1e-12
+        w, v = np.linalg.eig(t.entries)
+        reference = (v * np.log1p(w)) @ np.linalg.inv(v)
+        assert np.linalg.norm(value.entries - reference) <= 1e-10
+
+
+class TestExplicitSupport:
+    GAP = [1.0] + [0.0] * 13 + [1.0]
+
+    def test_zero_run_is_not_a_series_end(self):
+        g = from_coefficients(self.GAP, radius=math.inf)
+        value, diag = eval_matrix(g, matrix(0.5 * np.eye(2)))
+        np.testing.assert_allclose(value.entries, (1.0 + 0.5**14) * np.eye(2), rtol=1e-15)
+        assert diag.terms_used == 14 and diag.tail_bound == 0.0
+
+    def test_derivative_series_keeps_the_support(self):
+        g = derivative_series(from_coefficients(self.GAP, radius=math.inf), 1)
+        t = matrix([[0.5, 0.2], [0.1, -0.4]])
+        value, diag = eval_matrix(g, t)
+        expected = 14.0 * np.linalg.matrix_power(t.entries, 13)
+        np.testing.assert_allclose(value.entries, expected, rtol=1e-13)
+        assert diag.terms_used == 13
+
+    def test_all_zero_list(self):
+        value, diag = eval_matrix(from_coefficients([0.0, 0.0]), matrix([[0.5]]))
+        assert value.entries[0, 0] == 0.0 and diag.terms_used == 0
+
+    def test_tight_cap_on_a_long_list_reports_the_exact_remainder(self):
+        g = from_coefficients([1.0] * 30, radius=1.0)
+        _, diag = eval_matrix(g, matrix([[0.5]]), TruncationPolicy(max_terms=5))
+        assert diag.cap_hit and diag.terms_used == 5
+        assert diag.tail_bound == pytest.approx(sum(0.5**n for n in range(6, 30)), rel=1e-12)
+
+
+class TestLargeNorms:
+    @pytest.mark.parametrize("kind", [BoundKind.VALUE, BoundKind.FIRST_DERIVATIVE,
+                                      BoundKind.THREE_S])
+    @pytest.mark.parametrize("s", [100.0, 200.0, 1e4])
+    def test_majorant_scan_does_not_overflow(self, kind, s):
+        n = choose_truncation(builtin_series("exp"), s, TruncationPolicy(bound_kind=kind))
+        assert 0 < n <= 10_000
+
+    @pytest.mark.parametrize("x", [100.0, 200.0])
+    def test_overflowing_partial_sum_raises(self, x):
+        with pytest.raises(NonFiniteResultError, match="overflowed"):
+            eval_matrix(builtin_series("exp"), matrix([[x]]))
 
 
 class TestUserSeries:
