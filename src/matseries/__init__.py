@@ -8,158 +8,17 @@ tail majorants.  Executable algebraic identities, independent numerical
 oracles, parametric curve derivatives and an integral identity check round
 out the toolbox; a JSON command-line interface lives in
 :mod:`matseries.cli`.
+
+The public names are those each submodule lists in its ``__all__``.
 """
 
-from .algebra import (
-    AlgebraError,
-    BallSpec,
-    DimensionMismatchError,
-    FieldMismatchError,
-    MatrixElement,
-    ScalarField,
-    algebra_norm,
-    apply_commutant,
-    apply_commutant_power,
-    apply_left,
-    apply_right,
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    matrix,
-    zeros,
-)
-from .frechet import (
-    Algorithm,
-    CompareReport,
-    CurveDomainError,
-    DifferentialResult,
-    MatrixCurve,
-    PairwiseDifference,
-    SkipRecord,
-    curve_derivative,
-    derivative_series_growth,
-    frechet_commutant,
-    frechet_compare,
-    frechet_derivative_series,
-    frechet_direct,
-    frechet_power_commutant,
-    integral_identity_check,
-    monomial_differential,
-    monomial_differential_forms,
-    polynomial_curve,
-    relative_difference,
-)
-from .identities import (
-    IdentityReport,
-    binomial_sum_identity,
-    commutant_power_binomial,
-    operator_sum_identity,
-    power_commutant_decomposition,
-    product_commutator_expansion,
-    run_identity_suite,
-)
-from .oracle import (
-    DEFAULT_FD_STEP,
-    OracleKind,
-    block_triangular_differential,
-    fd_differential,
-    fd_slope,
-    polynomial_differential,
-    resolvent_differential,
-)
-from .series import (
-    BoundKind,
-    BUILTIN_NAMES,
-    EvalDiagnostics,
-    NonFiniteResultError,
-    OutsideDerivativeBallError,
-    OutsideRadiusError,
-    PowerSeries,
-    SeriesError,
-    TermCapError,
-    TruncationPolicy,
-    builtin_series,
-    choose_truncation,
-    derivative_series,
-    eval_matrix,
-    eval_scalar,
-    from_coefficients,
-    radius_estimate,
-    series_from_json,
-)
+from . import algebra, frechet, identities, oracle, series
+from .algebra import *
+from .frechet import *
+from .identities import *
+from .oracle import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "Algorithm",
-    "BallSpec",
-    "BoundKind",
-    "BUILTIN_NAMES",
-    "CompareReport",
-    "CurveDomainError",
-    "DEFAULT_FD_STEP",
-    "DifferentialResult",
-    "DimensionMismatchError",
-    "EvalDiagnostics",
-    "FieldMismatchError",
-    "IdentityReport",
-    "MatrixCurve",
-    "MatrixElement",
-    "NonFiniteResultError",
-    "OracleKind",
-    "OutsideDerivativeBallError",
-    "OutsideRadiusError",
-    "PairwiseDifference",
-    "PowerSeries",
-    "ScalarField",
-    "SeriesError",
-    "SkipRecord",
-    "TermCapError",
-    "TruncationPolicy",
-    "algebra_norm",
-    "apply_commutant",
-    "apply_commutant_power",
-    "apply_left",
-    "apply_right",
-    "binomial_sum_identity",
-    "block_triangular_differential",
-    "builtin_series",
-    "choose_truncation",
-    "commutant_power_binomial",
-    "curve_derivative",
-    "derivative_series",
-    "derivative_series_growth",
-    "eval_matrix",
-    "eval_scalar",
-    "fd_differential",
-    "fd_slope",
-    "frechet_commutant",
-    "frechet_compare",
-    "frechet_derivative_series",
-    "frechet_direct",
-    "frechet_power_commutant",
-    "from_coefficients",
-    "identity",
-    "integral_identity_check",
-    "mat_add",
-    "mat_mul",
-    "mat_scale",
-    "mat_sub",
-    "matrix",
-    "monomial_differential",
-    "monomial_differential_forms",
-    "operator_sum_identity",
-    "polynomial_curve",
-    "polynomial_differential",
-    "power_commutant_decomposition",
-    "product_commutator_expansion",
-    "radius_estimate",
-    "relative_difference",
-    "resolvent_differential",
-    "run_identity_suite",
-    "series_from_json",
-    "zeros",
-]
+__all__ = [*algebra.__all__, *frechet.__all__, *identities.__all__, *oracle.__all__, *series.__all__]

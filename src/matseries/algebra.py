@@ -38,7 +38,6 @@ __all__ = [
     "FieldMismatchError",
     "ScalarField",
     "MatrixElement",
-    "BallSpec",
     "matrix",
     "identity",
     "zeros",
@@ -183,20 +182,6 @@ class MatrixElement:
         return MatrixElement(arr, field)
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """Open norm ball of a given radius centered at the zero matrix."""
-
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise AlgebraError("ball radius must be nonnegative")
-
-    def contains(self, a: MatrixElement) -> bool:
-        return algebra_norm(a) < self.radius
-
-
 def matrix(data, field: ScalarField | None = None) -> MatrixElement:
     """Build a :class:`MatrixElement`, inferring the field unless given.
 
@@ -226,6 +211,15 @@ def _check_pair(a: MatrixElement, b: MatrixElement) -> tuple[np.ndarray, np.ndar
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a.entries, b.entries
+
+
+def _powers(ta: np.ndarray, count: int) -> np.ndarray:
+    """Stack of ``T^0, T^1, ..., T^count``, shape ``(count + 1, d, d)``, filled in place."""
+    out = np.empty((count + 1,) + ta.shape, dtype=ta.dtype)
+    out[0] = np.eye(ta.shape[0])
+    for k in range(count):
+        np.matmul(out[k], ta, out=out[k + 1])
+    return out
 
 
 def mat_mul(a: MatrixElement, b: MatrixElement) -> MatrixElement:

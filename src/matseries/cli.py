@@ -342,30 +342,15 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_json_arg(text: str, what: str):
-    """Accept either a path to a JSON file or inline JSON."""
-    path = Path(text)
+    """JSON from the file that ``text`` names or, when it names no readable file, ``text`` itself."""
     try:
-        if path.is_file():
-            raw = path.read_text()
-        else:
-            raw = text
-    except OSError as exc:
-        raise _RequestError("invalid_input", f"cannot read {what} from {text!r}: {exc}") from None
+        raw, source = Path(text).read_text(), f"file {text!r}"
+    except (OSError, UnicodeDecodeError):  # also a name too long to be a path: inline JSON
+        raw, source = text, "argument, which names no readable file,"
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _RequestError("malformed_json", f"malformed {what} JSON: {exc}") from None
-
-
-def _load_json_file(text: str, what: str):
-    try:
-        raw = Path(text).read_text()
-    except OSError as exc:
-        raise _RequestError("invalid_input", f"cannot read {what} file {text!r}: {exc}") from None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise _RequestError("malformed_json", f"malformed {what} JSON: {exc}") from None
+        raise _RequestError("malformed_json", f"the {what} {source} is not JSON: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,8 +412,6 @@ def _request_from_args(args: argparse.Namespace) -> dict:
         "policy": {"tolerance": args.tol, "max_terms": args.max_terms},
         "inputs": {},
     }
-    if args.out:
-        request["output_path"] = args.out
     if args.command == "identities":
         request["inputs"] = {
             "trials": args.trials,
@@ -440,10 +423,10 @@ def _request_from_args(args: argparse.Namespace) -> dict:
 
     request["series"] = _load_json_arg(args.series, "series")
     if args.command == "eval":
-        request["inputs"]["T"] = _load_json_file(getattr(args, "matrix_T"), "matrix T")
+        request["inputs"]["T"] = _load_json_arg(getattr(args, "matrix_T"), "matrix T")
     elif args.command in {"diff", "compare"}:
-        request["inputs"]["T"] = _load_json_file(getattr(args, "matrix_T"), "matrix T")
-        request["inputs"]["h"] = _load_json_file(getattr(args, "matrix_h"), "matrix h")
+        request["inputs"]["T"] = _load_json_arg(getattr(args, "matrix_T"), "matrix T")
+        request["inputs"]["h"] = _load_json_arg(getattr(args, "matrix_h"), "matrix h")
         if args.command == "diff":
             request["inputs"]["algorithm"] = args.algorithm
     elif args.command == "curve":
@@ -456,11 +439,11 @@ def _request_from_args(args: argparse.Namespace) -> dict:
             raise _RequestError("invalid_input", "poly: curve needs coefficient files")
         request["inputs"]["curve"] = {
             "kind": "poly",
-            "coefficients": [_load_json_file(f, "curve coefficient") for f in files],
+            "coefficients": [_load_json_arg(f, "curve coefficient") for f in files],
         }
         request["inputs"]["t"] = args.t
     elif args.command == "integral":
-        request["inputs"]["W"] = _load_json_file(args.W, "matrix W")
+        request["inputs"]["W"] = _load_json_arg(args.W, "matrix W")
         request["inputs"]["u1"] = args.u1
         request["inputs"]["u2"] = args.u2
     return request
@@ -480,9 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_VALIDATION
     code, report = run_request(request)
     body = dumps_stable(report)
-    out_path = request.get("output_path")
-    if out_path:
-        Path(out_path).write_text(body + "\n")
+    if args.out:
+        Path(args.out).write_text(body + "\n")
     else:
         print(body)
     return code

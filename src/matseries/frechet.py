@@ -48,7 +48,7 @@ Also here: parametric curves ``t -> T(t)`` with
 ``d/dt g(T(t)) = sum_p (1/p!) g^(p)(T(t)) C(T(t))^(p-1)(T'(t))``
 (again requiring ``norm(T(t)) < R/3``), and the integral identity
 ``W @ integral_{u1}^{u2} g'(t W) dt = g(u2 W) - g(u1 W)`` checked by
-adaptive Simpson quadrature with an absolute tolerance.  The integrand
+adaptive Simpson quadrature with a tolerance relative to the integrand.  The integrand
 ``g'(t W)`` is truncated once per check, at the largest argument norm
 ``max(|u1|, |u2|) norm(W)``, and every quadrature node reuses one stack of
 the ``N+1`` powers of ``W / norm(W)`` (``(N+1) d^2`` entries); a term cap
@@ -68,21 +68,24 @@ from .algebra import (
     DimensionMismatchError,
     FieldMismatchError,
     MatrixElement,
-    ScalarField,
     _check_pair,
+    _powers,
     algebra_norm,
 )
 from .series import (
     BoundKind,
     DEFAULT_POLICY,
     EvalDiagnostics,
-    OutsideDerivativeBallError,
     OutsideRadiusError,
     PowerSeries,
     NonFiniteResultError,
     TermCapError,
     TruncationPolicy,
+    _check_ball,
     _finite_element,
+    _out_field,
+    _quiet_overflow,
+    _term,
     _truncation_detail,
     derivative_series,
     eval_matrix,
@@ -155,21 +158,6 @@ class CompareReport:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
-
-def _out_field(g: PowerSeries, t: MatrixElement) -> ScalarField:
-    if t.field is ScalarField.COMPLEX or g.complex_coefficients:
-        return ScalarField.COMPLEX
-    return ScalarField.REAL
-
-
-def _powers(ta: np.ndarray, count: int) -> np.ndarray:
-    """Stack of ``T^0, T^1, ..., T^count``, shape ``(count + 1, d, d)``, filled in place."""
-    out = np.empty((count + 1,) + ta.shape, dtype=ta.dtype)
-    out[0] = np.eye(ta.shape[0])
-    for k in range(count):
-        np.matmul(out[k], ta, out=out[k + 1])
-    return out
-
 
 def relative_difference(a: MatrixElement, b: MatrixElement) -> float:
     """``norm(a - b) / max(norm(a), norm(b))``; zero when both vanish."""
@@ -254,14 +242,13 @@ def monomial_differential_forms(
 # ---------------------------------------------------------------------------
 
 def _differential_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
-                        policy: TruncationPolicy, kind: BoundKind, nested: bool = True):
+                        policy: TruncationPolicy, kind: BoundKind):
     """Operands in the output dtype, N, and the diagnostics of a differential.
 
     The majorant of ``kind``, refined by the power norms of ``T``, bounds
     the discarded tail for a unit direction; every discarded term is
     linear in ``h``, so the reported ``tail_bound`` is that majorant times
     ``norm(h)`` (an infinite bound after a cap hit stays infinite).
-    ``nested`` forms also report ``inner_terms_used = max(N - 1, 0)``.
     """
     ta, ha = _check_pair(t, h)
     s = algebra_norm(t)
@@ -270,8 +257,7 @@ def _differential_setup(g: PowerSeries, t: MatrixElement, h: MatrixElement,
         tail *= algebra_norm(h)
     field = _out_field(g, t)
     diag = EvalDiagnostics(terms_used=n_stop, tail_bound=tail, ball_radius_used=s,
-                           cap_hit=cap_hit,
-                           inner_terms_used=max(n_stop - 1, 0) if nested else None)
+                           cap_hit=cap_hit)
     return (ta.astype(field.dtype, copy=False), ha.astype(field.dtype, copy=False),
             field, n_stop, diag)
 
@@ -286,17 +272,17 @@ def frechet_direct(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     differentials are accumulated with the recurrence
     ``u_(n+1)(T, h) = T u_n(T, h) + h T^n`` (two products per term).
     """
-    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy,
-                                                      BoundKind.FIRST_DERIVATIVE, nested=False)
+    ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.FIRST_DERIVATIVE)
     acc = np.zeros_like(ta)
-    if n_stop >= 1:
-        u = ha
-        acc = acc + g.coefficient(1) * u
-        tpow = np.eye(ta.shape[0], dtype=ta.dtype)
-        for n in range(2, n_stop + 1):
-            tpow = tpow @ ta
-            u = ta @ u + ha @ tpow
-            acc = acc + g.coefficient(n) * u
+    with _quiet_overflow():
+        if n_stop >= 1:
+            u = ha
+            acc = acc + g.coefficient(1) * u
+            tpow = np.eye(ta.shape[0], dtype=ta.dtype)
+            for n in range(2, n_stop + 1):
+                tpow = tpow @ ta
+                u = ta @ u + ha @ tpow
+                acc = acc + g.coefficient(n) * u
     return DifferentialResult(_finite_element(acc, field, diag.ball_radius_used),
                               Algorithm.DIRECT, diag)
 
@@ -318,14 +304,16 @@ def frechet_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     """
     ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.FIRST_DERIVATIVE)
     eye = np.eye(ta.shape[0], dtype=ta.dtype)
-    bracket = ha @ ta - ta @ ha
     b = gk = acc = np.zeros_like(ta)  # B_(k+1), G_(k-1), S
-    for k in range(n_stop, 0, -1):
-        b = g.coefficient(k) * eye + ta @ b
-        gk = b + ta @ gk
-        if k >= 2:
-            acc = bracket @ gk + ta @ acc
-    return DifferentialResult(_finite_element(ha @ gk - acc, field, diag.ball_radius_used),
+    with _quiet_overflow():
+        bracket = ha @ ta - ta @ ha
+        for k in range(n_stop, 0, -1):
+            b = g.coefficient(k) * eye + ta @ b
+            gk = b + ta @ gk
+            if k >= 2:
+                acc = bracket @ gk + ta @ acc
+        value = ha @ gk - acc
+    return DifferentialResult(_finite_element(value, field, diag.ball_radius_used),
                               Algorithm.COMMUTANT_FORM, diag)
 
 
@@ -345,14 +333,15 @@ def frechet_power_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     ta, ha, field, n_stop, diag = _differential_setup(g, t, h, policy, BoundKind.FIRST_DERIVATIVE)
     eye = np.eye(ta.shape[0], dtype=ta.dtype)
     b = gk = tg = q = np.zeros_like(ta)  # B_(k+1), G_(k-1), T G_(k-1), Q
-    for k in range(n_stop, 0, -1):
-        b = g.coefficient(k) * eye + ta @ b
-        tg = ta @ gk
-        gk = b + tg
-        if k >= 2:
-            q = ha @ b + ta @ q
-    # after k = 1: gk = G_(-1) = g'(T) and tg = T G_0 = sum_{k>=2} T^(k-1) B_k
-    value = ha @ gk - (ha @ tg - ta @ q)
+    with _quiet_overflow():
+        for k in range(n_stop, 0, -1):
+            b = g.coefficient(k) * eye + ta @ b
+            tg = ta @ gk
+            gk = b + tg
+            if k >= 2:
+                q = ha @ b + ta @ q
+        # after k = 1: gk = G_(-1) = g'(T) and tg = T G_0 = sum_{k>=2} T^(k-1) B_k
+        value = ha @ gk - (ha @ tg - ta @ q)
     return DifferentialResult(_finite_element(value, field, diag.ball_radius_used),
                               Algorithm.POWER_COMMUTANT_FORM, diag)
 
@@ -360,7 +349,7 @@ def frechet_power_commutant(g: PowerSeries, t: MatrixElement, h: MatrixElement,
 def _binom_scale(p: int, s: float, count: int) -> np.ndarray:
     """``binom(m+p, p) * s^(m+p-1)`` for m = 0..count-1, overflow hardened."""
     m = np.arange(1, count, dtype=np.float64)
-    scale = s ** (p - 1)
+    scale = _term(1.0, s, p - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         grow = np.cumprod((m + p) / m * s) if count > 1 else np.empty(0)
         base = np.concatenate(([1.0], grow)) * scale
@@ -403,13 +392,14 @@ def frechet_derivative_series(g: PowerSeries, t: MatrixElement, h: MatrixElement
     stack = _powers(unit, n_stop - 1)
     acc = np.zeros_like(ta)
     nested = ha  # C(T/s)^(p-1) applied to h
-    for p in range(1, n_stop + 1):
-        m_count = n_stop - p + 1
-        weights = _binom_scale(p, s, m_count) * alphas[p: p + m_count]
-        deriv_p = np.tensordot(weights, stack[:m_count], axes=1)
-        acc = acc + deriv_p @ nested
-        if p < n_stop:
-            nested = nested @ unit - unit @ nested
+    with _quiet_overflow():
+        for p in range(1, n_stop + 1):
+            m_count = n_stop - p + 1
+            weights = _binom_scale(p, s, m_count) * alphas[p: p + m_count]
+            deriv_p = np.tensordot(weights, stack[:m_count], axes=1)
+            acc = acc + deriv_p @ nested
+            if p < n_stop:
+                nested = nested @ unit - unit @ nested
     return DifferentialResult(_finite_element(acc, field, s),
                               Algorithm.DERIVATIVE_SERIES_FORM, diag)
 
@@ -432,10 +422,7 @@ def frechet_compare(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     the reason.
     """
     s = algebra_norm(t)
-    if not s < g.radius:
-        raise OutsideRadiusError(
-            f"norm {s:.6g} is not inside the radius of convergence {g.radius:.6g}"
-        )
+    _check_ball(g, s, BoundKind.VALUE)
     results = [
         frechet_direct(g, t, h, policy),
         frechet_commutant(g, t, h, policy),
@@ -473,11 +460,7 @@ def derivative_series_growth(g: PowerSeries, t: MatrixElement, h: MatrixElement,
     code path on purpose; :func:`frechet_derivative_series` never calls it.
     """
     ta, ha = _check_pair(t, h)
-    s = algebra_norm(t)
-    if not s < g.radius:
-        raise OutsideRadiusError(
-            f"norm {s:.6g} is not inside the radius of convergence {g.radius:.6g}"
-        )
+    _check_ball(g, algebra_norm(t), BoundKind.VALUE)
     acc = np.zeros_like(ta.astype(_out_field(g, t).dtype, copy=False))
     nested = ha.astype(acc.dtype, copy=False)
     norms = []
@@ -630,10 +613,11 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
     scan or either endpoint hits the term cap, :class:`TermCapError` is
     raised rather than returning a truncated residual.
 
-    The integral is computed by adaptive Simpson quadrature with
-    *absolute* tolerance ``1e-10`` on the Frobenius norm of the local
-    error estimate; when ``norm(g'(t W))`` is far above 1 the recursion
-    can run to its depth limit.
+    The integral is computed by adaptive Simpson quadrature on the
+    Frobenius norm of the local error estimate, with the tolerance
+    ``1e-10 * max(1, norm(g'(u_far W)))`` relative to the integrand at the
+    endpoint ``u_far`` with the larger ``|u|`` (one more node product), so
+    a large integrand settles as fast as one of norm 1.
     """
     nw = algebra_norm(w)
     if nw == 0.0:
@@ -654,7 +638,7 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
     unit = (w.entries / nw).astype(field.dtype, copy=False)
     stack = _powers(unit, n_stop).reshape(n_stop + 1, -1)
     degrees = np.arange(n_stop + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet_overflow():
         weights = dg.coefficients(n_stop + 1) * s_max ** degrees
     if not np.isfinite(weights).all():
         raise NonFiniteResultError(f"integrand weights overflow the double range at "
@@ -664,11 +648,14 @@ def integral_identity_check(g: PowerSeries, w: MatrixElement, u1: float, u2: flo
     def integrand(t: float) -> np.ndarray:
         return ((weights * (t * inv_u) ** degrees) @ stack).reshape(unit.shape)
 
-    integral = _adaptive_simpson(integrand, u1, u2, _QUAD_TOL, _QUAD_MAX_DEPTH)
-    lhs = w.entries @ integral
-    ends = []
-    for u in (u2, u1):
-        value, diag = eval_matrix(g, MatrixElement(u * w.entries, w.field), policy)
-        _raise_on_cap(diag.cap_hit, policy, diag.ball_radius_used)
-        ends.append(value.entries)
-    return float(np.linalg.norm(lhs - (ends[0] - ends[1])))
+    u_far = u1 if abs(u1) > abs(u2) else u2
+    with _quiet_overflow():
+        tol = _QUAD_TOL * max(1.0, float(np.linalg.norm(integrand(u_far))))
+        integral = _adaptive_simpson(integrand, u1, u2, tol, _QUAD_MAX_DEPTH)
+        lhs = w.entries @ integral
+        ends = []
+        for u in (u2, u1):
+            value, diag = eval_matrix(g, MatrixElement(u * w.entries, w.field), policy)
+            _raise_on_cap(diag.cap_hit, policy, diag.ball_radius_used)
+            ends.append(value.entries)
+        return float(np.linalg.norm(lhs - (ends[0] - ends[1])))

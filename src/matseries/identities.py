@@ -31,6 +31,7 @@ from .algebra import (
     DimensionMismatchError,
     MatrixElement,
     ScalarField,
+    _powers,
     algebra_norm,
     apply_commutant_power,
 )
@@ -132,9 +133,7 @@ def power_commutant_decomposition(
     if n < 0:
         raise ValueError("n must be nonnegative")
     ta, ha = t.entries, h.entries
-    pows = [np.eye(t.dim, dtype=ta.dtype)]
-    for _ in range(n + 1):
-        pows.append(pows[-1] @ ta)
+    pows = _powers(ta, n + 1)
     lhs = ha @ pows[n + 1] - pows[n + 1] @ ha
     bracket = ha @ ta - ta @ ha
     rhs = np.zeros_like(ta)
@@ -151,9 +150,7 @@ def commutant_power_binomial(
         raise ValueError("n must be nonnegative")
     lhs = apply_commutant_power(t, h, n)
     ta, ha = t.entries, h.entries
-    pows = [np.eye(t.dim, dtype=ta.dtype)]
-    for _ in range(n):
-        pows.append(pows[-1] @ ta)
+    pows = _powers(ta, n)
     rhs = np.zeros_like(ta)
     for k in range(n + 1):
         sign = -1.0 if k % 2 else 1.0
@@ -180,9 +177,7 @@ def operator_sum_identity(
     if n < 1:
         raise ValueError("n must be positive")
     ta, ha = t.entries, h.entries
-    pows = [np.eye(t.dim, dtype=ta.dtype)]
-    for _ in range(n - 1):
-        pows.append(pows[-1] @ ta)
+    pows = _powers(ta, n - 1)
     lhs = np.zeros_like(ta)
     nested = ha
     for p in range(1, n + 1):

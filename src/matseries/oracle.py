@@ -14,8 +14,6 @@ meaningful evidence:
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .algebra import MatrixElement, ScalarField, _check_pair, algebra_norm
@@ -30,7 +28,6 @@ from .series import (
 )
 
 __all__ = [
-    "OracleKind",
     "fd_differential",
     "block_triangular_differential",
     "resolvent_differential",
@@ -45,13 +42,6 @@ DEFAULT_FD_STEP = 1e-5
 #: Norm target for the scaled perturbation block; linearity undoes the
 #: scaling exactly, so any value keeping the doubled matrix in the ball works.
 _BLOCK_SCALE_CAP = 0.1
-
-
-class OracleKind(enum.Enum):
-    CENTRAL_FINITE_DIFFERENCE = "central-finite-difference"
-    BLOCK_TRIANGULAR = "block-triangular"
-    RESOLVENT_CLOSED_FORM = "resolvent-closed-form"
-    POLYNOMIAL_EXPANSION = "polynomial-expansion"
 
 
 def fd_differential(g: PowerSeries, t: MatrixElement, h: MatrixElement,

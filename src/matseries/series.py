@@ -87,8 +87,6 @@ __all__ = [
     "eval_matrix",
 ]
 
-DEFAULT_COEFF_CAP = 10_000
-
 #: Radius estimates above this are reported as effectively infinite.
 _RADIUS_INF_CUTOFF = 1e6
 
@@ -153,19 +151,16 @@ class EvalDiagnostics:
     the power-norm term built from ``norm(T T)`` (see the module
     docstring); for a differential ``g'(T)(h)``, that majorant times
     ``norm(h)``; infinite when the term cap was hit before the majorant
-    scan settled.  ``inner_terms_used`` is the largest power of ``T`` in
-    any inner series when the computation nests one sum inside another.
-    The differential forms cut their double sums jointly at total degree
-    ``terms_used``, so it is ``max(terms_used - 1, 0)`` there (the inner
-    series ``g'(T)`` of the commutant forms, the ``g^(p)(T)`` of the
-    derivative-series form).
+    scan settled.  ``ball_radius_used`` is ``norm(T)``; ``cap_hit`` is set
+    when the tolerance asked for more than ``max_terms`` terms, so N is
+    ``max_terms``.  The differential forms cut their double sums jointly
+    at total degree ``terms_used``, so that one index describes them all.
     """
 
     terms_used: int
     tail_bound: float
     ball_radius_used: float
     cap_hit: bool = False
-    inner_terms_used: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -173,7 +168,6 @@ class EvalDiagnostics:
             "tail_bound": float(self.tail_bound),
             "ball_radius_used": float(self.ball_radius_used),
             "cap_hit": bool(self.cap_hit),
-            "inner_terms_used": None if self.inner_terms_used is None else int(self.inner_terms_used),
         }
 
 
@@ -181,14 +175,15 @@ class EvalDiagnostics:
 class PowerSeries:
     """Coefficient rule ``n -> a_n`` with radius of convergence ``radius``.
 
-    Coefficient access is capped at ``coeff_cap`` terms so pathological
-    user rules fail loudly instead of looping forever.  ``radius`` may be
-    ``math.inf`` for entire functions; ``radius_is_estimate`` marks radii
-    recovered from a finite coefficient window rather than supplied
-    exactly.  ``_degree`` is set by :func:`from_coefficients` and
-    :func:`derivative_series` to the index of the last nonzero coefficient
-    of an explicit list, so truncation scans stop there exactly; it is
-    ``None`` for an opaque rule.
+    ``radius`` may be ``math.inf`` for entire functions;
+    ``radius_is_estimate`` marks radii recovered from a finite coefficient
+    window rather than supplied exactly.  ``_degree`` is set by
+    :func:`from_coefficients` and :func:`derivative_series` to the index of
+    the last nonzero coefficient of an explicit list, so truncation scans
+    stop there exactly; it is ``None`` for an opaque rule.  The series
+    itself has no term cap: ``TruncationPolicy.max_terms`` is the only one,
+    and the truncation scan of an opaque rule reads only a little past it,
+    so a pathological rule cannot loop forever.
     """
 
     coeff_fn: Callable[[int], complex]
@@ -196,7 +191,6 @@ class PowerSeries:
     name: str | None = None
     complex_coefficients: bool = False
     radius_is_estimate: bool = False
-    coeff_cap: int = DEFAULT_COEFF_CAP
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _degree: int | None = field(default=None, repr=False)
 
@@ -205,13 +199,9 @@ class PowerSeries:
             raise SeriesError(f"radius of convergence must be positive, got {self.radius!r}")
 
     def coefficient(self, n: int):
-        """Return ``a_n`` (memoized); raises past ``coeff_cap`` or on non-finite values."""
+        """Return ``a_n`` (memoized); raises on a negative index or a non-finite value."""
         if n < 0:
             raise SeriesError("coefficient index must be nonnegative")
-        if n > self.coeff_cap:
-            raise SeriesError(
-                f"coefficient index {n} exceeds the access cap {self.coeff_cap}"
-            )
         c = self._cache.get(n)
         if c is None:
             c = complex(self.coeff_fn(n)) if self.complex_coefficients else float(self.coeff_fn(n))
@@ -401,7 +391,6 @@ def derivative_series(g: PowerSeries, p: int = 1) -> PowerSeries:
         name=name,
         complex_coefficients=g.complex_coefficients,
         radius_is_estimate=g.radius_is_estimate,
-        coeff_cap=max(0, g.coeff_cap - p),
         _degree=None if g._degree is None else max(g._degree - p, 0),
     )
 
@@ -530,7 +519,8 @@ def _power_bound(ta: np.ndarray | None, s: float) -> tuple[float, float] | None:
     allowance = du / (1.0 - du) * s2
     if not (math.isfinite(s2) and allowance >= np.finfo(np.float64).tiny):
         return None
-    square = float(np.linalg.norm(ta @ ta))
+    with _quiet_overflow():
+        square = float(np.linalg.norm(ta @ ta))
     if not math.isfinite(square):
         return None
     rho = math.sqrt(min(s2, square + allowance))
@@ -599,29 +589,27 @@ def _truncation_detail(g: PowerSeries, s: float, tolerance: float, max_terms: in
     term is the minimum of the a priori term and the power-norm term from
     ``norm(T T)`` (:func:`_power_bound`), so N and the tail bound are never
     larger than without it and the tail bound stays rigorous.  An explicit
-    list is scanned to its last nonzero coefficient and has nothing beyond
-    it; an opaque rule is scanned by :func:`_scan_terms`, a little past
-    ``max_terms`` so that a tight cap on a fast series still settles.  If
-    N would exceed ``max_terms``, N is ``max_terms``, ``cap_hit`` is set
-    and the tail bound is what the cap leaves (infinite when the scan did
-    not settle).
+    list is scanned to its last nonzero coefficient, however long, and has
+    nothing beyond it, so its cost is proportional to its length.  An
+    opaque rule is scanned by :func:`_scan_terms` up to index
+    ``max_terms + _SCAN_MARGIN``, a little past the cap so that a tight cap
+    on a fast series still settles.  ``max_terms`` is the only term cap: if
+    N would exceed it, N is ``max_terms``, ``cap_hit`` is set and the tail
+    bound is what the cap leaves (exact for a list; infinite when the scan
+    of an opaque rule did not settle).
     """
     _check_ball(g, s, kind)
-    limit = min(max_terms, g.coeff_cap)
     term_fn = _bound_term_fn(g, s, kind, _power_bound(ta, s))
     if g._degree is not None:
-        last = min(g._degree, g.coeff_cap)
-        terms = [term_fn(n) for n in range(last + 1)]
-        remainder, converged = (0.0, True) if last == g._degree else (math.inf, False)
+        terms = [term_fn(n) for n in range(g._degree + 1)]
+        remainder = 0.0
     else:
-        scan_limit = min(limit + _SCAN_MARGIN, g.coeff_cap)
-        terms, remainder, converged = _scan_terms(term_fn, tolerance, scan_limit)
-    if not converged:
-        return limit, math.inf, True
+        terms, remainder, converged = _scan_terms(term_fn, tolerance, max_terms + _SCAN_MARGIN)
+        if not converged:
+            return max_terms, math.inf, True
     n, tail = _smallest_index(terms, remainder, tolerance)
-    if n > limit:
-        capped_tail = remainder + math.fsum(terms[limit + 1:])
-        return limit, capped_tail, True
+    if n > max_terms:
+        return max_terms, remainder + math.fsum(terms[max_terms + 1:]), True
     return n, tail, False
 
 
@@ -674,9 +662,9 @@ def eval_matrix(g: PowerSeries, t: MatrixElement,
     s = algebra_norm(t)
     n_stop, tail, cap_hit = _truncation_detail(g, s, policy.tolerance, policy.max_terms,
                                                BoundKind.VALUE, t.entries)
-    out_field = ScalarField.COMPLEX if (t.field is ScalarField.COMPLEX or g.complex_coefficients) \
-        else ScalarField.REAL
-    arr = _eval_matrix_partial(g, t.entries.astype(out_field.dtype, copy=False), n_stop)
+    out_field = _out_field(g, t)
+    with _quiet_overflow():
+        arr = _eval_matrix_partial(g, t.entries.astype(out_field.dtype, copy=False), n_stop)
     diag = EvalDiagnostics(
         terms_used=n_stop,
         tail_bound=tail,
@@ -684,6 +672,18 @@ def eval_matrix(g: PowerSeries, t: MatrixElement,
         cap_hit=cap_hit,
     )
     return _finite_element(arr, out_field, s), diag
+
+
+def _out_field(g: PowerSeries, t: MatrixElement) -> ScalarField:
+    """Field of a result at ``t``: complex when the matrix or the coefficients are."""
+    if t.field is ScalarField.COMPLEX or g.complex_coefficients:
+        return ScalarField.COMPLEX
+    return ScalarField.REAL
+
+
+def _quiet_overflow() -> np.errstate:
+    """Silence numpy's overflow warnings in a partial sum; :func:`_finite_element` reports it."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _finite_element(arr: np.ndarray, field: ScalarField, s: float) -> MatrixElement:

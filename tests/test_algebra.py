@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from matseries import (
     AlgebraError,
-    BallSpec,
     DimensionMismatchError,
     FieldMismatchError,
     MatrixElement,
@@ -254,13 +253,3 @@ class TestMixedFieldAndDims:
         assert mat_scale(2.0, identity(2)).entries[0, 0] == 2.0
         assert mat_scale(2.0, identity(2, ScalarField.COMPLEX)).entries[0, 0] == 2.0 + 0j
 
-
-class TestBallSpec:
-    def test_membership_is_strict(self):
-        ball = BallSpec(radius=1.0)
-        assert ball.contains(matrix([[0.5]]))
-        assert not ball.contains(matrix([[1.0]]))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(AlgebraError):
-            BallSpec(radius=-0.5)

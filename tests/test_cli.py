@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,24 @@ class TestExitCodes:
                              "--algorithm", "derivative-series"])
         assert code == 2
         assert json.loads(out)["error"]["error"] == "outside_derivative_ball"
+
+    def test_missing_file_is_validation_error(self, tmp_path):
+        code, out = run_cli(["eval", "--series", data("exp_series.json"),
+                             "--matrix-T", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert json.loads(out)["error"]["error"] == "malformed_json"
+
+    def test_inline_json_for_every_argument(self):
+        # one rule for every JSON argument; a long inline series is no path name
+        series = json.dumps({"coeffs": [1.0 / math.factorial(n) for n in range(40)],
+                             "radius": 1e300})
+        assert len(series) > 255
+        matrix_t = Path(data("T_small.json")).read_text()
+        code, out = run_cli(["eval", "--series", series, "--matrix-T", matrix_t])
+        assert code == 0
+        want = json.loads((GOLDENS / "eval.json").read_text())["results"][0]["value"]
+        got = json.loads(out)["results"][0]["value"]
+        np.testing.assert_allclose(got["entries"], want["entries"], rtol=1e-14)
 
     def test_matrix_schema_error(self, tmp_path):
         bad = tmp_path / "bad_matrix.json"
@@ -281,6 +300,26 @@ class TestNumericalFailures:
             assert code == 3
             assert rep["error"]["error"] == "overflow"
             assert "overflowed" in rep["error"]["detail"]
+
+    @pytest.mark.parametrize("command, algorithm", [("eval", None), ("diff", "direct"),
+                                                    ("diff", "derivative-series")])
+    def test_overflow_emits_no_numpy_warning(self, command, algorithm):
+        request = {"command": command, "series": {"builtin": "exp"},
+                   "inputs": {"T": _scalar_matrix(100.0), "h": _scalar_matrix(1.0),
+                              "algorithm": algorithm}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_request(request)
+        assert (code, rep["error"]["error"]) == (3, "overflow")
+
+    def test_overflow_leaves_stderr_empty(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matseries.cli", "eval", "--series", '{"builtin": "exp"}',
+             "--matrix-T", json.dumps(_scalar_matrix(100.0))],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"]["error"] == "overflow"
+        assert proc.stderr == ""
 
     def test_integral_cap_hit_reports_cap_exceeded(self):
         request = {"command": "integral", "series": {"builtin": "geometric"},

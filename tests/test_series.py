@@ -197,6 +197,10 @@ class TestEvalMatrix:
         assert not diag.cap_hit
         assert diag.tail_bound <= pol.tolerance
 
+    def test_diagnostics_wire_keys(self):
+        _, diag = eval_matrix(builtin_series("exp"), matrix([[0.5]]))
+        assert set(diag.to_json()) == {"terms_used", "tail_bound", "ball_radius_used", "cap_hit"}
+
 
 class TestChooseTruncation:
     def test_geometric_at_zero_needs_nothing(self):
@@ -334,6 +338,20 @@ class TestExplicitSupport:
         assert diag.cap_hit and diag.terms_used == 5
         assert diag.tail_bound == pytest.approx(sum(0.5**n for n in range(6, 30)), rel=1e-12)
 
+    def test_remainder_past_the_scan_margin_stays_exact(self):
+        # the list runs past max_terms + 64, which bounds only the scan of an opaque rule
+        g = from_coefficients([1.0] * 200, radius=1.0)
+        _, diag = eval_matrix(g, matrix([[0.5]]), TruncationPolicy(max_terms=5))
+        assert diag.cap_hit and diag.terms_used == 5
+        assert diag.tail_bound == pytest.approx(sum(0.5**n for n in range(6, 200)), rel=1e-12)
+
+    def test_list_longer_than_ten_thousand_is_summed_exactly(self):
+        # max_terms is the only term cap: the list is scanned to its last coefficient
+        g = from_coefficients([0.0] * 10_500 + [1.0], radius=math.inf)
+        value, diag = eval_matrix(g, matrix([[1.0]]), TruncationPolicy(max_terms=20_000))
+        assert value.entries[0, 0] == 1.0
+        assert (diag.terms_used, diag.cap_hit, diag.tail_bound) == (10_500, False, 0.0)
+
 
 class TestLargeNorms:
     @pytest.mark.parametrize("kind", [BoundKind.VALUE, BoundKind.FIRST_DERIVATIVE,
@@ -377,11 +395,6 @@ class TestUserSeries:
     def test_non_finite_coefficients_fail_loudly(self):
         with pytest.raises(SeriesError):
             from_coefficients([1.0, math.inf])
-
-    def test_coefficient_cap_enforced(self):
-        g = builtin_series("geometric")
-        with pytest.raises(SeriesError):
-            g.coefficient(g.coeff_cap + 1)
 
     def test_empty_coefficients_rejected(self):
         with pytest.raises(SeriesError):
