@@ -19,7 +19,7 @@ import math
 import sys
 from pathlib import Path
 
-from .algebra import AlgebraError, MatrixElement, ScalarField
+from .algebra import AlgebraError, MatrixElement, ScalarField, _is_number
 from .frechet import (
     _ALGORITHMS,
     Algorithm,
@@ -121,15 +121,23 @@ def _emit(obj, parts: list[str]) -> None:
 # Request execution
 # ---------------------------------------------------------------------------
 
+def _checked(value, name: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer when ``integer``), else an input error."""
+    if _is_number(value) and (isinstance(value, int) or not integer):
+        return value
+    kind = "an integer" if integer else "a number"
+    raise _RequestError("invalid_input", f"{name} must be {kind}, got {value!r}")
+
+
 def _policy_from(request: dict) -> TruncationPolicy:
     pol = request.get("policy", {})
     if not isinstance(pol, dict):
         raise _RequestError("invalid_input", "policy must be an object")
-    tol = pol.get("tolerance", 1e-12)
-    cap = pol.get("max_terms", 10_000)
+    given = {key: _checked(pol[key], f"policy.{key}", integer=key == "max_terms")
+             for key in ("tolerance", "max_terms") if key in pol}
     try:
-        return TruncationPolicy(tolerance=float(tol), max_terms=int(cap))
-    except (SeriesError, TypeError, ValueError, OverflowError) as exc:
+        return TruncationPolicy(**given)
+    except (SeriesError, OverflowError) as exc:
         raise _RequestError("invalid_input", f"bad policy: {exc}") from None
 
 
@@ -155,11 +163,11 @@ def _matrix_from(inputs: dict, key: str) -> MatrixElement:
 def _number_from(inputs: dict, key: str) -> float:
     if key not in inputs:
         raise _RequestError("invalid_input", f"request needs inputs.{key}")
+    value = _checked(inputs[key], f"inputs.{key}")
     try:
-        return float(inputs[key])
-    except (TypeError, ValueError, OverflowError):
-        raise _RequestError("invalid_input",
-                            f"inputs.{key} must be a number, got {inputs[key]!r}") from None
+        return float(value)
+    except OverflowError:  # integers beyond the float range
+        raise _RequestError("invalid_input", f"inputs.{key} must be finite, got {value!r}") from None
 
 
 def _result_entry(algorithm: str, value: MatrixElement, diag: EvalDiagnostics) -> dict:
@@ -246,17 +254,17 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
         raise _RequestError("invalid_input", "inputs must be an object")
 
     if command == "identities":
-        trials = inputs.get("trials", 100)
-        dim = inputs.get("dim", 4)
-        seed = inputs.get("seed", 0)
-        field_tag = inputs.get("field", "real")
+        given = {key: _checked(inputs[key], f"inputs.{key}", integer=True)
+                 for key in ("trials", "dim", "seed") if key in inputs}
+        if "field" in inputs:
+            try:
+                given["field"] = ScalarField(inputs["field"])
+            except ValueError:
+                raise _RequestError("invalid_input",
+                                    f"unknown field tag {inputs['field']!r}") from None
         try:
-            field = ScalarField(field_tag)
-        except ValueError:
-            raise _RequestError("invalid_input", f"unknown field tag {field_tag!r}") from None
-        try:
-            reports = run_identity_suite(int(trials), int(dim), int(seed), field)
-        except (TypeError, ValueError, OverflowError) as exc:
+            reports = run_identity_suite(**given)
+        except (ValueError, OverflowError) as exc:
             raise _RequestError("invalid_input", str(exc)) from None
         report["identities"] = [r.to_json() for r in reports]
         report["results"] = []
@@ -271,15 +279,18 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
         report["results"] = [entry]
         return _check_caps(report, [entry])
 
-    if command == "diff":
+    if command in ("diff", "compare"):
         t = _matrix_from(inputs, "T")
         h = _matrix_from(inputs, "h")
-        algo = inputs.get("algorithm", "direct")
+        algo = "all" if command == "compare" else inputs.get("algorithm", "direct")
         if algo == "all":
             compare = frechet_compare(series, t, h, policy)
-            results, skipped, _pairwise = _compare_payload(compare)
+            results, skipped, pairwise = _compare_payload(compare)
             report["results"] = results
             report["skipped"] = skipped
+            if command == "compare":
+                report["comparisons"] = pairwise
+                report["max_relative_difference"] = compare.max_relative_difference
             return _check_caps(report, results)
         if algo not in _ALGORITHM_NAMES:
             raise _RequestError(
@@ -291,17 +302,6 @@ def _dispatch(command: str, request: dict, report: dict) -> int:
         entry = _differential_entry(res)
         report["results"] = [entry]
         return _check_caps(report, [entry])
-
-    if command == "compare":
-        t = _matrix_from(inputs, "T")
-        h = _matrix_from(inputs, "h")
-        compare = frechet_compare(series, t, h, policy)
-        results, skipped, pairwise = _compare_payload(compare)
-        report["results"] = results
-        report["skipped"] = skipped
-        report["comparisons"] = pairwise
-        report["max_relative_difference"] = compare.max_relative_difference
-        return _check_caps(report, results)
 
     if command == "curve":
         curve_obj = inputs.get("curve", {})
@@ -359,93 +359,73 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate matrix power series and their Frechet differentials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = argparse.SUPPRESS  # an option not given stays out of the request
 
-    def common(p: argparse.ArgumentParser, needs_series=True) -> None:
+    def command(name: str, summary: str, *matrices: str, needs_series=True):
+        p = sub.add_parser(name, help=summary)
         if needs_series:
             p.add_argument("--series", required=True,
                            help="series JSON (a file path or inline JSON)")
-        p.add_argument("--tol", type=float, default=1e-12, help="truncation tolerance")
-        p.add_argument("--max-terms", type=int, default=10_000, help="term cap")
+        p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=unset,
+                       help="truncation tolerance")
+        p.add_argument("--max-terms", type=int, default=unset, help="term cap")
         p.add_argument("--out", help="write the report to this path instead of stdout")
+        for flag in matrices:
+            p.add_argument(flag, required=True, help="matrix JSON (a file path or inline JSON)")
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate g(T)")
-    common(p_eval)
-    p_eval.add_argument("--matrix-T", required=True, help="matrix JSON file for T")
+    command("eval", "evaluate g(T)", "--matrix-T")
+    p_diff = command("diff", "compute the differential g'(T)(h)", "--matrix-T", "--matrix-h")
+    p_diff.add_argument("--algorithm", default=unset, choices=_ALGORITHM_NAMES + ["all"])
+    command("compare", "run all four algorithms and cross-compare", "--matrix-T", "--matrix-h")
 
-    p_diff = sub.add_parser("diff", help="compute the differential g'(T)(h)")
-    common(p_diff)
-    p_diff.add_argument("--matrix-T", required=True, help="matrix JSON file for T")
-    p_diff.add_argument("--matrix-h", required=True, help="matrix JSON file for h")
-    p_diff.add_argument("--algorithm", default="direct",
-                        choices=_ALGORITHM_NAMES + ["all"])
-
-    p_cmp = sub.add_parser("compare", help="run all four algorithms and cross-compare")
-    common(p_cmp)
-    p_cmp.add_argument("--matrix-T", required=True, help="matrix JSON file for T")
-    p_cmp.add_argument("--matrix-h", required=True, help="matrix JSON file for h")
-
-    p_curve = sub.add_parser("curve", help="d/dt g(T(t)) along a polynomial curve")
-    common(p_curve)
+    p_curve = command("curve", "d/dt g(T(t)) along a polynomial curve")
     p_curve.add_argument("--curve", required=True,
                          help="poly:<file0>,<file1>,... coefficient matrices of T(t)")
     p_curve.add_argument("--t", type=float, required=True, help="parameter value")
 
-    p_int = sub.add_parser("integral",
-                           help="residual of W*int_{u1}^{u2} g'(tW) dt = g(u2 W) - g(u1 W)")
-    common(p_int)
-    p_int.add_argument("--W", required=True, help="matrix JSON file for W")
+    p_int = command("integral", "residual of W*int_{u1}^{u2} g'(tW) dt = g(u2 W) - g(u1 W)",
+                    "--W")
     p_int.add_argument("--u1", type=float, required=True)
     p_int.add_argument("--u2", type=float, required=True)
 
-    p_id = sub.add_parser("identities", help="run the random identity suite")
-    common(p_id, needs_series=False)
-    p_id.add_argument("--trials", type=int, default=100)
-    p_id.add_argument("--dim", type=int, default=4)
-    p_id.add_argument("--seed", type=int, default=0)
-    p_id.add_argument("--field", default="real", choices=["real", "complex"])
+    p_id = command("identities", "run the random identity suite", needs_series=False)
+    p_id.add_argument("--trials", type=int, default=unset)
+    p_id.add_argument("--dim", type=int, default=unset)
+    p_id.add_argument("--seed", type=int, default=unset)
+    p_id.add_argument("--field", default=unset, choices=["real", "complex"])
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> dict:
-    request: dict = {
-        "command": args.command,
-        "policy": {"tolerance": args.tol, "max_terms": args.max_terms},
-        "inputs": {},
-    }
-    if args.command == "identities":
-        request["inputs"] = {
-            "trials": args.trials,
-            "dim": args.dim,
-            "seed": args.seed,
-            "field": args.field,
-        }
-        return request
+#: The options that name a matrix, and the request input each fills.
+_MATRIX_OPTIONS = {"matrix_T": "T", "matrix_h": "h", "W": "W"}
 
-    request["series"] = _load_json_arg(args.series, "series")
-    if args.command == "eval":
-        request["inputs"]["T"] = _load_json_arg(getattr(args, "matrix_T"), "matrix T")
-    elif args.command in {"diff", "compare"}:
-        request["inputs"]["T"] = _load_json_arg(getattr(args, "matrix_T"), "matrix T")
-        request["inputs"]["h"] = _load_json_arg(getattr(args, "matrix_h"), "matrix h")
-        if args.command == "diff":
-            request["inputs"]["algorithm"] = args.algorithm
-    elif args.command == "curve":
-        curve_arg = args.curve
-        if not curve_arg.startswith("poly:"):
-            raise _RequestError("invalid_input",
-                                "only polynomial curves are supported: --curve poly:<files>")
-        files = [f for f in curve_arg[len("poly:"):].split(",") if f]
-        if not files:
-            raise _RequestError("invalid_input", "poly: curve needs coefficient files")
-        request["inputs"]["curve"] = {
-            "kind": "poly",
-            "coefficients": [_load_json_arg(f, "curve coefficient") for f in files],
-        }
-        request["inputs"]["t"] = args.t
-    elif args.command == "integral":
-        request["inputs"]["W"] = _load_json_arg(args.W, "matrix W")
-        request["inputs"]["u1"] = args.u1
-        request["inputs"]["u2"] = args.u2
+
+def _request_from_args(args: argparse.Namespace) -> dict:
+    request: dict = {"command": args.command, "policy": {}, "inputs": {}}
+    for name, value in vars(args).items():
+        if name in ("command", "out"):
+            continue
+        if name == "series":
+            request["series"] = _load_json_arg(value, "series")
+        elif name in ("tolerance", "max_terms"):
+            request["policy"][name] = value
+        elif name in _MATRIX_OPTIONS:
+            key = _MATRIX_OPTIONS[name]
+            request["inputs"][key] = _load_json_arg(value, f"matrix {key}")
+        elif name == "curve":
+            if not value.startswith("poly:"):
+                raise _RequestError("invalid_input",
+                                    "only polynomial curves are supported: --curve poly:<files>")
+            files = [f for f in value[len("poly:"):].split(",") if f]
+            if not files:
+                raise _RequestError("invalid_input", "poly: curve needs coefficient files")
+            request["inputs"]["curve"] = {
+                "kind": "poly",
+                "coefficients": [_load_json_arg(f, "curve coefficient") for f in files],
+            }
+        else:
+            request["inputs"][name] = value
     return request
 
 

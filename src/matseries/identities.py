@@ -198,7 +198,7 @@ def _random_matrix(rng: np.random.Generator, dim: int, field: ScalarField) -> Ma
     return MatrixElement(re + 1j * im, field)
 
 
-def run_identity_suite(trials: int, dim: int, seed: int,
+def run_identity_suite(trials: int = 100, dim: int = 4, seed: int = 0,
                        field: ScalarField = ScalarField.REAL) -> list[IdentityReport]:
     """Run all five identities on seeded random matrices.
 

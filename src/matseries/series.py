@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import MatrixElement, ScalarField, algebra_norm
+from .algebra import MatrixElement, ScalarField, _is_number, algebra_norm
 
 __all__ = [
     "SeriesError",
@@ -358,10 +358,6 @@ def series_from_json(obj) -> PowerSeries:
     except OverflowError:  # integers beyond the float range
         raise SeriesError("series numbers must be finite") from None
     return from_coefficients(vals, radius=radius)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def derivative_series(g: PowerSeries, p: int = 1) -> PowerSeries:

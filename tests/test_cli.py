@@ -312,6 +312,19 @@ class TestNumericalFailures:
             code, rep = run_request(request)
         assert (code, rep["error"]["error"]) == (3, "overflow")
 
+    @pytest.mark.parametrize("series, expected", [("exp", (3, "overflow")),
+                                                  ("geometric", (2, "outside_radius"))])
+    @pytest.mark.parametrize("command", ["eval", "diff", "integral"])
+    def test_entries_whose_squares_overflow(self, series, expected, command):
+        # norm([[1e160]]) squares an entry beyond the double range on the way
+        big = _scalar_matrix(1e160)
+        request = {"command": command, "series": {"builtin": series},
+                   "inputs": {"T": big, "h": _scalar_matrix(1.0), "W": big, "u1": 0.0, "u2": 1.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_request(request)
+        assert (code, rep["error"]["error"]) == expected
+
     def test_overflow_leaves_stderr_empty(self):
         proc = subprocess.run(
             [sys.executable, "-m", "matseries.cli", "eval", "--series", '{"builtin": "exp"}',
@@ -396,7 +409,7 @@ class TestRunRequestContract:
     def test_non_object_curve(self, curve):
         self.assert_rejected(_replaced(_VALID_REQUESTS["curve"], ("inputs", "curve"), curve))
 
-    @pytest.mark.parametrize("value", [[1], {}, {"x": 1}, 10 ** 400, "x"])
+    @pytest.mark.parametrize("value", [[1], {}, {"x": 1}, 10 ** 400, "x", True, "0.5"])
     @pytest.mark.parametrize("command,key", [("curve", "t"), ("integral", "u1"),
                                              ("integral", "u2")])
     def test_non_number_parameter(self, command, key, value):
@@ -418,9 +431,15 @@ class TestRunRequestContract:
     def test_malformed_matrix(self, matrix_json):
         self.assert_rejected(_replaced(_VALID_REQUESTS["eval"], ("inputs", "T"), matrix_json))
 
-    @pytest.mark.parametrize("policy", [{"max_terms": math.inf}, {"tolerance": 10 ** 400}])
+    @pytest.mark.parametrize("policy", [{"max_terms": math.inf}, {"tolerance": 10 ** 400},
+                                        {"tolerance": "1e-3"}, {"tolerance": True},
+                                        {"max_terms": 3.7}, {"max_terms": True}])
     def test_out_of_range_policy(self, policy):
         self.assert_rejected(_replaced(_VALID_REQUESTS["eval"], ("policy",), policy))
+
+    @pytest.mark.parametrize("inputs", [{"trials": True}, {"dim": "2"}, {"seed": 1.5}])
+    def test_non_integer_identities_parameter(self, inputs):
+        self.assert_rejected({"command": "identities", "inputs": {"trials": 1, "dim": 1, **inputs}})
 
     @settings(max_examples=60, deadline=None)
     @given(value=_JSON)
